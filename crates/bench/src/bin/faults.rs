@@ -17,13 +17,12 @@
 //! completion and redispatch counts degrade — with the kill schedule and
 //! control plane in force.
 
-use morpheus::{
-    AppSpec, DeviceKill, Fleet, FleetConfig, HealPolicy, Mode, PlacementPolicy, RollingUpdate,
-    ServeConfig, SystemParams,
+use morpheus::{FleetConfig, Mode, ServeConfig};
+use morpheus_bench::{
+    accept_fleet_flag, finish_fleet, fleet_mode, geomean, print_table, schedule_banner,
+    stage_tenants, Harness,
 };
-use morpheus_bench::{geomean, print_table, Harness};
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan, SplitMix64};
+use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan};
 use morpheus_workloads::{run_benchmark, suite};
 
 /// The swept fault rates. Per rung `r`, probabilities scale as:
@@ -54,91 +53,25 @@ fn main() {
     args.extend(std::env::args().skip(1));
     let usage = "usage: [--scale N] [--seed N] [--jobs N] [--faults SPEC] [--devices N] \
                  [--placement P] [--kill-device DEV@SECS] [--rolling-update SECS] [--heal]";
-    // Fleet flags are parsed here and registered with the shared grammar
-    // as pass-through extras.
-    let mut devices = 1usize;
-    let mut placement = PlacementPolicy::HashByFile;
-    let mut kills: Vec<DeviceKill> = Vec::new();
-    let mut rolling_update: Option<f64> = None;
-    let mut heal = false;
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}");
-        eprintln!("{usage}");
-        std::process::exit(2);
-    };
-    {
+    // The harness grammar plus the serving binaries' fleet flags.
+    let mut fleet = FleetConfig::new(1);
+    let mut h = Harness::default();
+    let parsed = (|| {
         let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--devices" => {
-                    devices = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|d: &usize| *d >= 1)
-                        .unwrap_or_else(|| fail("--devices expects a positive integer"));
-                }
-                "--placement" => {
-                    placement = it
-                        .next()
-                        .and_then(|v| PlacementPolicy::parse(v))
-                        .unwrap_or_else(|| fail("--placement expects rr|hash|capacity"));
-                }
-                "--kill-device" => match it.next() {
-                    Some(v) => match DeviceKill::parse(v) {
-                        Ok(k) => kills.push(k),
-                        Err(e) => fail(&format!("--kill-device: {e}")),
-                    },
-                    None => fail("--kill-device requires a value"),
-                },
-                "--rolling-update" => {
-                    rolling_update = Some(
-                        it.next()
-                            .and_then(|v| v.parse::<f64>().ok())
-                            .filter(|s| s.is_finite() && *s >= 0.0)
-                            .unwrap_or_else(|| {
-                                fail("--rolling-update expects seconds (finite, >= 0)")
-                            }),
-                    );
-                }
-                "--heal" => heal = true,
-                _ => {}
+        while let Some(flag) = it.next() {
+            if !accept_fleet_flag(&mut fleet, flag, &mut it)?
+                && !h.accept(flag, &mut it).map_err(|e| e.0)?
+            {
+                return Err(format!("unknown flag {flag:?}"));
             }
         }
+        finish_fleet(&mut fleet, h.seed)
+    })();
+    if let Err(e) = parsed {
+        eprintln!("error: {e}");
+        eprintln!("{usage}");
+        std::process::exit(2);
     }
-    // Kill indices are validated against the fleet shape at parse time,
-    // like the serve/telemetry binaries: a kill that can never match a
-    // device is a config bug, not a silent no-op.
-    for k in &kills {
-        if k.device >= devices {
-            fail(&format!(
-                "--kill-device names device {} but --devices is {devices}",
-                k.device
-            ));
-        }
-    }
-    // `--heal` is valueless, so it is stripped before the shared grammar
-    // re-parse (extras there always consume one value).
-    let hargs: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--heal")
-        .cloned()
-        .collect();
-    let h = match Harness::parse(
-        &hargs,
-        &[
-            "--devices",
-            "--placement",
-            "--kill-device",
-            "--rolling-update",
-        ],
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{usage}");
-            std::process::exit(2);
-        }
-    };
     let fault_seed = h.faults.map(|p| p.seed).unwrap_or(1);
     println!(
         "Fault-rate degradation: suite deser speedup, morpheus vs baseline (scale 1/{}, fault seed {})\n",
@@ -173,15 +106,7 @@ fn main() {
         let failed = outcomes.len() - speedups.len();
         let mut agg = FaultCounters::default();
         for (_, c) in outcomes.iter().flatten() {
-            agg.ecc_corrected += c.ecc_corrected;
-            agg.media_retries += c.media_retries;
-            agg.media_failures += c.media_failures;
-            agg.nvme_timeouts += c.nvme_timeouts;
-            agg.nvme_retries += c.nvme_retries;
-            agg.core_stalls += c.core_stalls;
-            agg.core_crashes += c.core_crashes;
-            agg.pcie_degraded += c.pcie_degraded;
-            agg.host_fallbacks += c.host_fallbacks;
+            agg += c;
         }
         rows.push(vec![
             format!("{rate:.0e}"),
@@ -215,69 +140,34 @@ fn main() {
     println!("speedup is the geomean over suite apps that completed; objects are checked");
     println!("bit-identical between modes at every rate (fallback keeps Morpheus correct).");
 
-    let control_on = rolling_update.is_some() || heal;
-    if devices > 1 || !kills.is_empty() || control_on {
+    if fleet_mode(&fleet) {
         // The same fault ladder applied fleet-wide to an N-device serving
         // cell: every device degrades identically, so the table isolates
         // how the *serving plane* (admission, redispatch, fallback)
         // absorbs faults at fleet scale — under the kill schedule and
         // control plane when given.
         println!();
-        let mut header = format!(
-            "Fleet serving resilience: {devices} devices, placement {placement}, \
-             morpheus @ 4000 rps x 0.02s, 3 apps"
+        println!(
+            "Fleet serving resilience: {} devices, placement {}, \
+             morpheus @ 4000 rps x 0.02s, 3 apps{}",
+            fleet.devices,
+            fleet.placement,
+            schedule_banner(&fleet)
         );
-        for k in &kills {
-            header.push_str(&format!(
-                ", kill dev{}@{:.3}s",
-                k.device,
-                k.at.as_secs_f64()
-            ));
-        }
-        if let Some(s) = rolling_update {
-            header.push_str(&format!(", rolling-update @{s:.3}s"));
-        }
-        if heal {
-            header.push_str(", heal");
-        }
-        println!("{header}");
         let mut frows = Vec::new();
         let mut last_control = None;
         for rate in RATES {
-            let mut fc = FleetConfig::new(devices);
-            fc.placement = placement;
-            fc.seed = h.seed;
-            fc.kills = kills.clone();
-            fc.control.rolling = rolling_update.map(RollingUpdate::starting_at);
-            if heal {
-                fc.control.heal = Some(HealPolicy::default());
-            }
-            let mut fleet = Fleet::new(SystemParams::paper_testbed(), fc);
-            let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-            let mut specs = Vec::new();
-            for i in 0..3u64 {
-                let name = format!("svc{i}");
-                let file = format!("{name}.txt");
-                let mut rng = SplitMix64::new(h.seed ^ i.wrapping_mul(0x9E37_79B9));
-                let mut w = TextWriter::new();
-                for _ in 0..(64 * 1024 / 12) {
-                    w.write_u64(rng.next_below(100_000));
-                    w.sep();
-                    w.write_u64(rng.next_below(100_000));
-                    w.newline();
-                }
-                fleet
-                    .create_input_file(&file, &w.into_bytes())
-                    .expect("staging tenant input");
-                specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-            }
-            if let Some(plan) = plan_for(rate, fault_seed) {
-                fleet.set_fault_plan(plan);
-            }
+            let (mut cell, specs) = stage_tenants(
+                fleet.clone(),
+                3,
+                64 * 1024,
+                h.seed,
+                plan_for(rate, fault_seed),
+            );
             let mut cfg = ServeConfig::new(4000.0, 0.02);
             cfg.mode = Mode::Morpheus;
             cfg.seed = h.seed;
-            let rep = fleet.serve(&specs, &cfg).unwrap_or_else(|e| {
+            let rep = cell.serve(&specs, &cfg).unwrap_or_else(|e| {
                 eprintln!("error: fleet serve failed: {}", render_error_chain(&e));
                 std::process::exit(1);
             });

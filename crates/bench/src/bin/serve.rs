@@ -11,14 +11,11 @@
 //! shared order-preserving worker pool, and every cell builds its own
 //! seeded system, so output is byte-identical across repeats and `--jobs`.
 
-use morpheus::{
-    AppSpec, CacheConfig, CachePolicy, ControlReport, DeviceKill, Fleet, FleetConfig, HealPolicy,
-    Mode, PlacementPolicy, RollingUpdate, RunError, ServeConfig, ServePolicy, ServeReport, SloSpec,
-    System, SystemParams, TelemetryConfig,
+use morpheus::{FleetReport, Mode, RunError, SloSpec, TelemetryConfig};
+use morpheus_bench::{
+    flag_value, fleet_mode, print_table, run_parallel, schedule_banner, ServeArgs,
 };
-use morpheus_bench::{print_table, run_parallel, Harness};
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{parse_duration, render_error_chain, SimDuration, SplitMix64, Tracer};
+use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
 const USAGE: &str =
     "usage: serve [--rps LIST] [--duration S] [--depth N] [--batch N] [--sq-depth N]
@@ -29,51 +26,24 @@ const USAGE: &str =
              [--prom-out <path>]
              [--devices N] [--placement rr|hash|capacity] [--kill-device DEV@SECS]
              [--rolling-update SECS] [--heal]
-             [--fast-forward] [--csv] [--seed N] [--jobs N] [--faults SPEC]";
+             [--csv] [--seed N] [--jobs N] [--faults SPEC]";
 
-/// One parsed invocation.
+/// One parsed invocation: the shared serving grammar plus this binary's
+/// own sweep, telemetry and output flags.
 #[derive(Debug)]
 struct Cli {
     rps: Vec<f64>,
-    duration_s: f64,
-    depth: usize,
-    batch: usize,
-    sq_depth: usize,
-    policy: ServePolicy,
     modes: Vec<Mode>,
-    apps: usize,
-    bytes: u64,
     trace_out: Option<String>,
-    skew: f64,
-    cache_mb: u64,
-    cache_host_mb: u64,
-    cache_policy: CachePolicy,
     telemetry_window: Option<SimDuration>,
     slo: SloSpec,
     telemetry_out: Option<String>,
     prom_out: Option<String>,
-    devices: usize,
-    placement: PlacementPolicy,
-    kills: Vec<DeviceKill>,
-    rolling_update: Option<f64>,
-    heal: bool,
     csv: bool,
-    fast_forward: bool,
-    harness: Harness,
+    serve: ServeArgs,
 }
 
 impl Cli {
-    /// The object-cache configuration this invocation asked for (inert
-    /// when both capacities are zero — exactly cache-off).
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            dram_bytes: self.cache_mb << 20,
-            host_bytes: self.cache_host_mb << 20,
-            policy: self.cache_policy,
-            seed: self.harness.seed,
-        }
-    }
-
     /// The serve-plane telemetry configuration, `None` when sampling is
     /// off (the default — disabled runs stay byte-identical to pre-
     /// telemetry builds).
@@ -84,80 +54,25 @@ impl Cli {
             t
         })
     }
-
-    /// True when the invocation engages the fleet path: more than one
-    /// device, a kill schedule, or control-plane intent. A plain
-    /// `--devices 1` run stays on the legacy single-[`System`] path,
-    /// byte for byte.
-    fn fleet_mode(&self) -> bool {
-        self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
-    }
-
-    /// The fleet shape this invocation asked for.
-    fn fleet_config(&self) -> FleetConfig {
-        let mut cfg = FleetConfig::new(self.devices);
-        cfg.placement = self.placement;
-        cfg.seed = self.harness.seed;
-        cfg.kills = self.kills.clone();
-        cfg.control.rolling = self.rolling_update.map(RollingUpdate::starting_at);
-        if self.heal {
-            cfg.control.heal = Some(HealPolicy::default());
-        }
-        cfg
-    }
 }
 
 /// The flag grammar, separated from process state so tests can drive it.
 fn parse(args: &[String]) -> Result<Cli, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        flag: &str,
-        v: &str,
-    ) -> Result<T, String> {
-        let n: T = v
-            .parse()
-            .map_err(|_| format!("{flag} expects a positive number, got {v:?}"))?;
-        if n < T::from(1u8) {
-            return Err(format!("{flag} must be >= 1"));
-        }
-        Ok(n)
-    }
     let mut cli = Cli {
         rps: vec![250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0],
-        duration_s: 0.05,
-        depth: 64,
-        batch: 8,
-        sq_depth: 64,
-        policy: ServePolicy::Shed,
         modes: vec![Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P],
-        apps: 3,
-        bytes: 64 * 1024,
         trace_out: None,
-        skew: 0.0,
-        cache_mb: 0,
-        cache_host_mb: 0,
-        cache_policy: CachePolicy::TinyLfu,
         telemetry_window: None,
         slo: SloSpec::none(),
         telemetry_out: None,
         prom_out: None,
-        devices: 1,
-        placement: PlacementPolicy::HashByFile,
-        kills: Vec::new(),
-        rolling_update: None,
-        heal: false,
         csv: false,
-        fast_forward: false,
-        harness: Harness::default(),
+        serve: ServeArgs::default(),
     };
-    let mut harness_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    cli.serve = ServeArgs::parse(args, |shared, flag, it| {
+        match flag {
             "--rps" => {
-                let v = value("--rps", &mut it)?;
+                let v = flag_value(flag, it)?;
                 let mut ladder = Vec::new();
                 for part in v.split(',') {
                     let r: f64 = part
@@ -168,35 +83,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     }
                     ladder.push(r);
                 }
-                if ladder.is_empty() {
-                    return Err("--rps needs at least one rate".into());
-                }
                 cli.rps = ladder;
             }
-            "--duration" => {
-                let v = value("--duration", &mut it)?;
-                let d: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !d.is_finite() || d <= 0.0 {
-                    return Err("--duration must be positive".into());
-                }
-                cli.duration_s = d;
-            }
-            "--depth" => cli.depth = positive::<usize>("--depth", value("--depth", &mut it)?)?,
-            "--batch" => cli.batch = positive::<usize>("--batch", value("--batch", &mut it)?)?,
-            "--sq-depth" => {
-                cli.sq_depth = positive::<usize>("--sq-depth", value("--sq-depth", &mut it)?)?
-            }
-            "--apps" => cli.apps = positive::<usize>("--apps", value("--apps", &mut it)?)?,
-            "--bytes" => cli.bytes = positive::<u64>("--bytes", value("--bytes", &mut it)?)?,
-            "--policy" => {
-                let v = value("--policy", &mut it)?;
-                cli.policy = ServePolicy::parse(v)
-                    .ok_or_else(|| format!("--policy expects shed|fallback, got {v:?}"))?;
-            }
             "--mode" => {
-                let v = value("--mode", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.modes = match v.as_str() {
                     "all" => vec![Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P],
                     "conventional" => vec![Mode::Conventional],
@@ -209,84 +99,26 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     }
                 };
             }
-            "--trace-out" => cli.trace_out = Some(value("--trace-out", &mut it)?.clone()),
-            "--skew" => {
-                let v = value("--skew", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--skew expects a number, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--skew must be finite and non-negative".into());
-                }
-                cli.skew = s;
-            }
-            "--cache-mb" => {
-                let v = value("--cache-mb", &mut it)?;
-                cli.cache_mb = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb expects a byte count in MB, got {v:?}"))?;
-            }
-            "--cache-host-mb" => {
-                let v = value("--cache-host-mb", &mut it)?;
-                cli.cache_host_mb = v.parse().map_err(|_| {
-                    format!("--cache-host-mb expects a byte count in MB, got {v:?}")
-                })?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy", &mut it)?;
-                cli.cache_policy = CachePolicy::parse(v)
-                    .ok_or_else(|| format!("--cache-policy expects tinylfu|lru, got {v:?}"))?;
-            }
+            "--trace-out" => cli.trace_out = Some(flag_value(flag, it)?.clone()),
             "--telemetry-window" => {
-                let v = value("--telemetry-window", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.telemetry_window =
                     Some(parse_duration(v).map_err(|e| format!("--telemetry-window: {e}"))?);
             }
             "--slo" => {
-                let v = value("--slo", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.slo = SloSpec::parse(v).map_err(|e| format!("--slo: {e}"))?;
             }
-            "--telemetry-out" => {
-                cli.telemetry_out = Some(value("--telemetry-out", &mut it)?.clone())
-            }
-            "--prom-out" => cli.prom_out = Some(value("--prom-out", &mut it)?.clone()),
-            "--devices" => {
-                cli.devices = positive::<usize>("--devices", value("--devices", &mut it)?)?
-            }
-            "--placement" => {
-                let v = value("--placement", &mut it)?;
-                cli.placement = PlacementPolicy::parse(v)
-                    .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
-            }
-            "--kill-device" => {
-                let v = value("--kill-device", &mut it)?;
-                cli.kills
-                    .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
-            }
-            "--rolling-update" => {
-                let v = value("--rolling-update", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--rolling-update expects seconds, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--rolling-update must be finite and >= 0".into());
-                }
-                cli.rolling_update = Some(s);
-            }
-            "--heal" => cli.heal = true,
+            "--telemetry-out" => cli.telemetry_out = Some(flag_value(flag, it)?.clone()),
+            "--prom-out" => cli.prom_out = Some(flag_value(flag, it)?.clone()),
             "--csv" => cli.csv = true,
-            "--fast-forward" => cli.fast_forward = true,
-            // Harness flags: re-validated by the shared grammar so
-            // `--faults bogus` fails exactly as in every figure binary.
-            "--seed" | "--jobs" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
+            "--jobs" => {
+                shared.harness.accept(flag, it).map_err(|e| e.0)?;
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    cli.harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
+        Ok(())
+    })?;
     if cli.trace_out.is_some() && (cli.modes.len() > 1 || cli.rps.len() > 1) {
         return Err("--trace-out needs a single cell: one --mode and one --rps".into());
     }
@@ -311,15 +143,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 .into(),
         );
     }
-    for k in &cli.kills {
-        if k.device >= cli.devices {
-            return Err(format!(
-                "--kill-device names device {} but --devices is {}",
-                k.device, cli.devices
-            ));
-        }
-    }
-    if cli.prom_out.is_some() && cli.devices > 1 {
+    if cli.prom_out.is_some() && cli.serve.fleet.devices > 1 {
         return Err(
             "--prom-out requires --devices 1: a Prometheus exposition declares each \
              metric once (use --telemetry-out for per-device windows)"
@@ -329,126 +153,25 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Stages `apps` tenant inputs (~`bytes` each of two-column text edges)
-/// into a fresh paper-testbed system, then arms any fault plan.
-fn build_system(cli: &Cli) -> (System, Vec<AppSpec>) {
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        // ~12 bytes per "xxxxx xxxxx\n" row.
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        sys.create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        sys.set_fault_plan(plan);
-    }
-    (sys, specs)
-}
-
-/// Stages the same tenant inputs on every device of a fresh fleet (full
-/// replication — see `docs/FLEET.md`), then arms any fault plan fleet-wide.
-fn build_fleet(cli: &Cli) -> (Fleet, Vec<AppSpec>) {
-    let mut fleet = Fleet::new(SystemParams::paper_testbed(), cli.fleet_config());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        fleet
-            .create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        fleet.set_fault_plan(plan);
-    }
-    (fleet, specs)
-}
-
-/// One cell's results: the (aggregate) report, per-device reports when the
-/// fleet path ran, and the rendered trace if this is the traced cell.
-struct CellOut {
-    rep: ServeReport,
-    per_device: Vec<ServeReport>,
-    rebalanced: u64,
-    control: Option<ControlReport>,
-    trace: Option<String>,
-}
-
-/// Runs one (mode, rps) cell on its own fresh system or fleet. The cell
+/// Runs one (mode, rps) cell on its own fresh fleet, returning the fleet
+/// report and the rendered trace if this is the traced cell. The cell
 /// builds its cache fresh too, so the grid stays byte-identical across
 /// `--jobs` fan-outs; cache-on cells therefore measure the within-run
 /// (cold-start plus steady-state) hit economy.
-fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<CellOut, RunError> {
-    let cfg = ServeConfig {
-        rps,
-        duration_s: cli.duration_s,
-        depth: cli.depth,
-        batch_max: cli.batch,
-        sq_depth: cli.sq_depth,
-        mode,
-        policy: cli.policy,
-        seed: cli.harness.seed,
-        skew: cli.skew,
-        telemetry: cli.telemetry_config(),
-        fast_forward: cli.fast_forward,
-    };
-    if cli.fleet_mode() {
-        let (mut fleet, specs) = build_fleet(cli);
-        if cli.trace_out.is_some() {
-            fleet.enable_tracing();
-        }
-        fleet.set_object_cache(cli.cache_config());
-        let rep = fleet.serve(&specs, &cfg)?;
-        let trace = cli
-            .trace_out
-            .as_ref()
-            .map(|_| fleet.take_merged_trace().to_chrome_json());
-        return Ok(CellOut {
-            rep: rep.aggregate,
-            per_device: rep.per_device,
-            rebalanced: rep.rebalanced,
-            control: rep.control,
-            trace,
-        });
-    }
-    let (mut sys, specs) = build_system(cli);
+fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<(FleetReport, Option<String>), RunError> {
+    let (mut fleet, specs) = cli.serve.staged_fleet();
     if cli.trace_out.is_some() {
-        sys.set_tracer(Tracer::enabled());
+        fleet.enable_tracing();
     }
-    sys.set_object_cache(cli.cache_config());
-    let rep = sys.serve(&specs, &cfg)?;
+    let rep = fleet.serve(
+        &specs,
+        &cli.serve.serve_config(mode, rps, cli.telemetry_config()),
+    )?;
     let trace = cli
         .trace_out
         .as_ref()
-        .map(|_| sys.tracer().take().to_chrome_json());
-    Ok(CellOut {
-        rep,
-        per_device: Vec::new(),
-        rebalanced: 0,
-        control: None,
-        trace,
-    })
+        .map(|_| fleet.take_merged_trace().to_chrome_json());
+    Ok((rep, trace))
 }
 
 fn main() {
@@ -458,28 +181,34 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     });
+    let sa = &cli.serve;
 
     let grid: Vec<(Mode, f64)> = cli
         .modes
         .iter()
         .flat_map(|m| cli.rps.iter().map(move |r| (*m, *r)))
         .collect();
-    let cells = run_parallel(cli.harness.jobs, &grid, |(mode, rps)| {
+    let cells = run_parallel(sa.harness.jobs, &grid, |(mode, rps)| {
         run_cell(&cli, *mode, *rps)
     });
 
-    let cache_on = cli.cache_config().is_enabled();
+    let (base, cache) = (&sa.base, &sa.cache);
+    let cache_on = cache.is_enabled();
+    let fleet_mode = fleet_mode(&sa.fleet);
     if !cli.csv {
         // The historical banner is extended only when the new knobs are in
         // play, so pre-cache invocations stay byte-identical.
         let mut banner = format!(
             "serve: {} apps x ~{} bytes, duration {}s, depth {}, batch <= {}, policy {}, seed {}",
-            cli.apps, cli.bytes, cli.duration_s, cli.depth, cli.batch, cli.policy, cli.harness.seed
+            sa.apps, sa.bytes, base.duration_s, base.depth, base.batch_max, base.policy, base.seed
         );
-        if cli.skew > 0.0 || cache_on {
+        if base.skew > 0.0 || cache_on {
             banner.push_str(&format!(
                 ", skew {}, cache {}+{}MB {}",
-                cli.skew, cli.cache_mb, cli.cache_host_mb, cli.cache_policy
+                base.skew,
+                cache.dram_bytes >> 20,
+                cache.host_bytes >> 20,
+                cache.policy
             ));
         }
         if let Some(w) = cli.telemetry_window {
@@ -488,24 +217,13 @@ fn main() {
                 banner.push_str(&format!(", slo {}", cli.slo));
             }
         }
-        if cli.fleet_mode() {
+        if fleet_mode {
             banner.push_str(&format!(
-                ", devices {} placement {}",
-                cli.devices, cli.placement
+                ", devices {} placement {}{}",
+                sa.fleet.devices,
+                sa.fleet.placement,
+                schedule_banner(&sa.fleet)
             ));
-            for k in &cli.kills {
-                banner.push_str(&format!(
-                    ", kill dev{}@{:.3}s",
-                    k.device,
-                    (k.at - morpheus_simcore::SimTime::ZERO).as_secs_f64()
-                ));
-            }
-            if let Some(s) = cli.rolling_update {
-                banner.push_str(&format!(", rolling-update @{s:.3}s"));
-            }
-            if cli.heal {
-                banner.push_str(", heal");
-            }
         }
         println!("{banner}");
     }
@@ -518,13 +236,7 @@ fn main() {
     let mut prom_text = None;
     let mut trace_json = None;
     for ((mode, rps), cell) in grid.iter().zip(cells) {
-        let CellOut {
-            rep,
-            per_device,
-            rebalanced,
-            control,
-            trace,
-        } = match cell {
+        let (fleet_rep, trace) = match cell {
             Ok(v) => v,
             Err(e) => {
                 eprintln!(
@@ -537,13 +249,14 @@ fn main() {
         if trace.is_some() {
             trace_json = trace;
         }
-        if cli.fleet_mode() {
+        if fleet_mode {
             fleet_lines.push(format!(
-                "fleet ({mode} @ {rps:.0} rps): devices={} placement={} rebalanced={rebalanced}",
-                per_device.len(),
-                cli.placement
+                "fleet ({mode} @ {rps:.0} rps): devices={} placement={} rebalanced={}",
+                fleet_rep.per_device.len(),
+                fleet_rep.policy,
+                fleet_rep.rebalanced
             ));
-            for (i, d) in per_device.iter().enumerate() {
+            for (i, d) in fleet_rep.per_device.iter().enumerate() {
                 fleet_lines.push(format!(
                     "  dev{i}: offered={} done={} shed={} fail={} sust_rps={:.1} p99_us={:.1}",
                     d.offered,
@@ -557,35 +270,42 @@ fn main() {
             // Control-plane outcome: the transition counters then one
             // lifecycle/health line per device, labelled like the fleet
             // rows above.
-            if let Some(c) = &control {
+            if let Some(c) = &fleet_rep.control {
                 for line in format!("{c}").lines() {
                     fleet_lines.push(format!("  {line}"));
                 }
             }
-            // Telemetry lives per device on the fleet path (the aggregate
-            // report carries none): emit each device's windows, labelled.
-            for (i, d) in per_device.iter().enumerate() {
-                if let Some(t) = &d.telemetry {
-                    telemetry_blocks
-                        .push(format!("telemetry ({mode} @ {rps:.0} rps, dev{i}):\n{t}"));
-                    if cli.telemetry_out.is_some() {
-                        telemetry_csv.push_str(&t.to_csv(&[
-                            ("mode", mode.to_string()),
-                            ("target_rps", format!("{rps:.0}")),
-                            ("device", i.to_string()),
-                        ]));
-                    }
-                    if cli.prom_out.is_some() {
-                        // --devices 1 enforced at parse time, so this is
-                        // the lone device of a kill-schedule run.
-                        prom_text = Some(t.to_prometheus(
-                            "morpheus",
-                            &[("mode", &mode.to_string()), ("rps", &format!("{rps:.0}"))],
-                        ));
-                    }
-                }
+        }
+        // Telemetry is sampled per device; fleet rows label each block
+        // with its device, a plain solo SSD prints its one block bare.
+        for (i, d) in fleet_rep.per_device.iter().enumerate() {
+            let Some(t) = &d.telemetry else { continue };
+            let mut labels = vec![
+                ("mode", mode.to_string()),
+                // The offered rate, distinct from the derived per-window
+                // "rps" (completed) column.
+                ("target_rps", format!("{rps:.0}")),
+            ];
+            let mut title = format!("telemetry ({mode} @ {rps:.0} rps");
+            if fleet_mode {
+                labels.push(("device", i.to_string()));
+                title.push_str(&format!(", dev{i}"));
+            }
+            telemetry_blocks.push(format!("{title}):\n{t}"));
+            if cli.telemetry_out.is_some() {
+                // One header+rows block per cell: window columns are
+                // data-dependent, so cells keep their own headers.
+                telemetry_csv.push_str(&t.to_csv(&labels));
+            }
+            if cli.prom_out.is_some() {
+                // One cell on one device, validated at parse time.
+                prom_text = Some(t.to_prometheus(
+                    "morpheus",
+                    &[("mode", &mode.to_string()), ("rps", &format!("{rps:.0}"))],
+                ));
             }
         }
+        let rep = fleet_rep.aggregate;
         let mut row = vec![
             mode.to_string(),
             format!("{rps:.0}"),
@@ -609,31 +329,11 @@ fn main() {
             row.push(format!("{:.3}", c.hit_rate()));
         }
         rows.push(row);
-        if cli.harness.faults.is_some() {
+        if sa.harness.faults.is_some() {
             fault_lines.push(format!("faults ({mode} @ {rps:.0} rps): {}", rep.faults));
         }
         if let Some(c) = rep.cache {
             cache_lines.push(format!("cache ({mode} @ {rps:.0} rps): {c}"));
-        }
-        if let Some(t) = &rep.telemetry {
-            telemetry_blocks.push(format!("telemetry ({mode} @ {rps:.0} rps):\n{t}"));
-            if cli.telemetry_out.is_some() {
-                // One header+rows block per cell: window columns are
-                // data-dependent, so cells keep their own headers.
-                // "target_rps": the offered rate, distinct from the
-                // derived per-window "rps" (completed) column.
-                telemetry_csv.push_str(&t.to_csv(&[
-                    ("mode", mode.to_string()),
-                    ("target_rps", format!("{rps:.0}")),
-                ]));
-            }
-            if cli.prom_out.is_some() {
-                // Single cell by construction (validated at parse time).
-                prom_text = Some(t.to_prometheus(
-                    "morpheus",
-                    &[("mode", &mode.to_string()), ("rps", &format!("{rps:.0}"))],
-                ));
-            }
         }
     }
     let mut header = vec![
@@ -683,10 +383,7 @@ fn main() {
         println!("wrote Prometheus text exposition to {path}");
     }
     if let (Some(path), Some(json)) = (&cli.trace_out, trace_json) {
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(1);
-        });
+        write_file(path, &json);
         println!("wrote Chrome trace-event JSON to {path} (load in Perfetto)");
     }
 }
@@ -704,112 +401,31 @@ mod tests {
         let cli = parse(&argv(&[])).expect("valid");
         assert_eq!(cli.modes.len(), 3);
         assert_eq!(cli.rps.len(), 6);
-        assert_eq!(cli.policy, ServePolicy::Shed);
-        assert_eq!((cli.depth, cli.batch, cli.sq_depth), (64, 8, 64));
-        assert_eq!(cli.skew, 0.0);
-        assert_eq!((cli.cache_mb, cli.cache_host_mb), (0, 0));
-        assert_eq!(cli.cache_policy, CachePolicy::TinyLfu);
         assert!(!cli.csv);
-        assert!(!cli.cache_config().is_enabled(), "defaults are cache-off");
+        assert!(
+            cli.telemetry_config().is_none(),
+            "telemetry is off by default"
+        );
     }
 
     #[test]
-    fn parse_full_grammar() {
+    fn parse_own_grammar() {
         let cli = parse(&argv(&[
             "--rps",
             "100,200.5",
-            "--duration",
-            "0.1",
-            "--depth",
-            "16",
-            "--batch",
-            "4",
-            "--sq-depth",
-            "32",
-            "--policy",
-            "fallback",
             "--mode",
             "morpheus",
-            "--apps",
-            "2",
-            "--bytes",
-            "4096",
-            "--skew",
-            "1.1",
-            "--cache-mb",
-            "256",
-            "--cache-host-mb",
-            "512",
-            "--cache-policy",
-            "lru",
             "--csv",
-            "--seed",
-            "7",
             "--jobs",
             "4",
-            "--faults",
-            "seed=9,crash=0.5",
+            "--seed",
+            "7",
         ]))
         .expect("valid");
         assert_eq!(cli.rps, vec![100.0, 200.5]);
-        assert_eq!(cli.duration_s, 0.1);
-        assert_eq!(cli.policy, ServePolicy::HostFallback);
         assert_eq!(cli.modes, vec![Mode::Morpheus]);
-        assert_eq!((cli.apps, cli.bytes), (2, 4096));
-        assert_eq!(cli.skew, 1.1);
-        assert_eq!((cli.cache_mb, cli.cache_host_mb), (256, 512));
-        assert_eq!(cli.cache_policy, CachePolicy::Lru);
         assert!(cli.csv);
-        assert_eq!((cli.harness.seed, cli.harness.jobs), (7, 4));
-        assert_eq!(cli.harness.faults.expect("plan").core_crash, 0.5);
-        let cc = cli.cache_config();
-        assert_eq!(cc.dram_bytes, 256 << 20);
-        assert_eq!(cc.host_bytes, 512 << 20);
-        assert_eq!(cc.seed, 7);
-    }
-
-    #[test]
-    fn trace_out_needs_single_cell() {
-        assert!(parse(&argv(&["--trace-out", "t.json"])).is_err());
-        assert!(parse(&argv(&[
-            "--trace-out",
-            "t.json",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_ok());
-    }
-
-    #[test]
-    fn parse_rejects_bad_input() {
-        for bad in [
-            vec!["--rps"],                 // missing value
-            vec!["--rps", "0"],            // non-positive rate
-            vec!["--rps", "100,abc"],      // malformed entry
-            vec!["--duration", "-1"],      // negative
-            vec!["--depth", "0"],          // zero depth
-            vec!["--batch", "x"],          // malformed
-            vec!["--policy", "drop"],      // unknown policy
-            vec!["--mode", "turbo"],       // unknown mode
-            vec!["--apps", "0"],           // zero tenants
-            vec!["--sacle", "64"],         // typo flag
-            vec!["--faults", "bogus"],     // bad fault spec
-            vec!["--jobs", "0"],           // harness re-check
-            vec!["--skew"],                // missing value
-            vec!["--skew", "-0.5"],        // negative skew
-            vec!["--skew", "inf"],         // non-finite skew
-            vec!["--skew", "hot"],         // malformed skew
-            vec!["--cache-mb", "many"],    // malformed capacity
-            vec!["--cache-mb", "-1"],      // negative capacity
-            vec!["--cache-host-mb", "x"],  // malformed spill capacity
-            vec!["--cache-policy", "arc"], // unknown cache policy
-            vec!["--cache-policy"],        // missing value
-            vec!["--csv", "x"],            // --csv takes no value
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
+        assert_eq!((cli.serve.harness.seed, cli.serve.harness.jobs), (7, 4));
     }
 
     #[test]
@@ -823,183 +439,50 @@ mod tests {
             "t.csv",
         ]))
         .expect("valid");
-        assert_eq!(
-            cli.telemetry_window.unwrap(),
-            morpheus_simcore::SimDuration::from_millis(10)
-        );
-        assert_eq!(cli.slo.objectives.len(), 2);
+        assert_eq!(cli.telemetry_window.unwrap(), SimDuration::from_millis(10));
         let t = cli.telemetry_config().expect("window set");
         assert_eq!(t.slo.objectives.len(), 2);
-        assert!(
-            parse(&argv(&[])).unwrap().telemetry_config().is_none(),
-            "telemetry is off by default"
-        );
     }
 
     #[test]
-    fn telemetry_flags_require_a_window() {
+    fn parse_rejects_bad_input() {
+        let cell = ["--mode", "morpheus", "--rps", "100"];
+        let window = ["--telemetry-window", "10ms"];
         for bad in [
-            vec!["--slo", "avail>99.9"],
-            vec!["--telemetry-out", "t.csv"],
-            vec!["--prom-out", "t.prom"],
+            vec!["--rps"],                                             // missing value
+            vec!["--rps", "0"],                                        // non-positive rate
+            vec!["--rps", "100,abc"],                                  // malformed entry
+            vec!["--mode", "turbo"],                                   // unknown mode
+            vec!["--sacle", "64"],                                     // typo flag
+            vec!["--jobs", "0"],                                       // harness re-check
+            vec!["--csv", "x"],                                        // --csv takes no value
+            vec!["--fast-forward"],                                    // retired flag
+            vec!["--trace-out", "t.json"],                             // needs a single cell
+            [&["--csv", "--trace-out", "t.json"][..], &cell].concat(), // CSV owns stdout
+            vec!["--slo", "avail>99.9"],                               // needs a window
+            vec!["--telemetry-out", "t.csv"],                          // needs a window
+            vec!["--prom-out", "t.prom"],                              // needs a window
+            vec!["--telemetry-window"],                                // missing value
+            vec!["--telemetry-window", "0ms"],                         // zero window
+            vec!["--telemetry-window", "soon"],                        // malformed
+            [&window[..], &["--slo", "x"]].concat(),                   // bad term
+            [&window[..], &["--slo", "p99<0ns"]].concat(),             // bad threshold
+            [&window[..], &["--prom-out", "t.prom"]].concat(),         // needs a single cell
+            // Prometheus exposition is single-device only.
+            [
+                &window[..],
+                &["--prom-out", "t.prom", "--devices", "4"],
+                &cell,
+            ]
+            .concat(),
         ] {
             assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
         }
-    }
-
-    #[test]
-    fn prom_out_needs_single_cell() {
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_ok());
-    }
-
-    #[test]
-    fn parse_rejects_bad_telemetry_values() {
-        for bad in [
-            vec!["--telemetry-window"],                             // missing value
-            vec!["--telemetry-window", "0ms"],                      // zero window
-            vec!["--telemetry-window", "soon"],                     // malformed
-            vec!["--telemetry-window", "10ms", "--slo"],            // missing value
-            vec!["--telemetry-window", "10ms", "--slo", "x"],       // bad term
-            vec!["--telemetry-window", "10ms", "--slo", "p99<0ns"], // bad threshold
+        for good in [
+            [&["--trace-out", "t.json"][..], &cell].concat(),
+            [&window[..], &["--prom-out", "t.prom"], &cell].concat(),
         ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
+            assert!(parse(&argv(&good)).is_ok(), "should accept {good:?}");
         }
-    }
-
-    #[test]
-    fn parse_fleet_grammar() {
-        let cli = parse(&argv(&[])).expect("valid");
-        assert_eq!(cli.devices, 1);
-        assert_eq!(cli.placement, PlacementPolicy::HashByFile);
-        assert!(cli.kills.is_empty());
-        assert!(!cli.fleet_mode(), "defaults stay on the legacy path");
-
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--placement",
-            "capacity",
-            "--kill-device",
-            "2@0.01",
-            "--kill-device",
-            "3@0.02",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.devices, 4);
-        assert_eq!(cli.placement, PlacementPolicy::CapacityAware);
-        assert_eq!(cli.kills.len(), 2);
-        assert_eq!(cli.kills[0].device, 2);
-        assert!(cli.fleet_mode());
-        let fc = cli.fleet_config();
-        assert_eq!((fc.devices, fc.kills.len()), (4, 2));
-
-        // A kill schedule alone engages the fleet path even on one device.
-        assert!(parse(&argv(&["--kill-device", "0@0.01"]))
-            .expect("valid")
-            .fleet_mode());
-    }
-
-    #[test]
-    fn parse_control_grammar() {
-        let cli = parse(&argv(&[])).expect("valid");
-        assert!(cli.rolling_update.is_none());
-        assert!(!cli.heal);
-        assert!(!cli.fleet_config().control.is_active());
-
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--rolling-update",
-            "0.002",
-            "--heal",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.rolling_update, Some(0.002));
-        assert!(cli.heal);
-        assert!(cli.fleet_mode());
-        let fc = cli.fleet_config();
-        assert!(fc.control.rolling.is_some());
-        assert!(fc.control.heal.is_some());
-
-        // Control intent alone engages the fleet path, even solo.
-        assert!(parse(&argv(&["--rolling-update", "0.01"]))
-            .expect("valid")
-            .fleet_mode());
-        assert!(parse(&argv(&["--heal"])).expect("valid").fleet_mode());
-    }
-
-    #[test]
-    fn parse_rejects_bad_control_input() {
-        for bad in [
-            vec!["--rolling-update"],          // missing value
-            vec!["--rolling-update", "-1"],    // negative start
-            vec!["--rolling-update", "inf"],   // non-finite
-            vec!["--rolling-update", "later"], // malformed
-            vec!["--heal", "now"],             // --heal takes no value
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_bad_fleet_input() {
-        for bad in [
-            vec!["--devices", "0"],                            // zero devices
-            vec!["--devices", "x"],                            // malformed
-            vec!["--placement", "random"],                     // unknown policy
-            vec!["--placement"],                               // missing value
-            vec!["--kill-device", "2"],                        // missing @SECS
-            vec!["--kill-device", "2@-1"],                     // negative time
-            vec!["--kill-device", "1@0.01"],                   // device outside fleet (devices=1)
-            vec!["--devices", "2", "--kill-device", "2@0.01"], // out of range
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-        // Prometheus exposition is single-device only.
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100",
-            "--devices",
-            "4"
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn csv_and_trace_out_are_mutually_exclusive() {
-        assert!(parse(&argv(&[
-            "--csv",
-            "--trace-out",
-            "t.json",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["--csv"])).is_ok());
     }
 }

@@ -15,14 +15,9 @@
 //! division, so every byte of output is identical across repeats.
 //! `docs/TELEMETRY.md` documents the sampling model and SLO semantics.
 
-use morpheus::{
-    AppSpec, CacheConfig, CachePolicy, DeviceKill, Fleet, FleetConfig, HealPolicy, Mode,
-    PlacementPolicy, RollingUpdate, ServeConfig, ServePolicy, SloSpec, System, SystemParams,
-    TelemetryConfig,
-};
-use morpheus_bench::Harness;
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{parse_duration, render_error_chain, SimDuration, SplitMix64};
+use morpheus::{Mode, ServeReport, SloSpec, TelemetryConfig, TelemetryReport};
+use morpheus_bench::{flag_value, fleet_mode, ServeArgs};
+use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
 const USAGE: &str =
     "usage: telemetry [--rps R] [--duration S] [--mode conventional|morpheus|morpheus+p2p]
@@ -42,91 +37,34 @@ enum Format {
     Prom,
 }
 
-/// One parsed invocation (a single serving cell).
+/// One parsed invocation (a single serving cell): the shared serving
+/// grammar plus this binary's own cell, window and output flags.
 #[derive(Debug)]
 struct Cli {
     rps: f64,
-    duration_s: f64,
     mode: Mode,
-    apps: usize,
-    bytes: u64,
-    depth: usize,
-    batch: usize,
-    sq_depth: usize,
-    policy: ServePolicy,
-    skew: f64,
-    cache_mb: u64,
-    cache_host_mb: u64,
-    cache_policy: CachePolicy,
     window: SimDuration,
     slo: SloSpec,
     format: Format,
     out: Option<String>,
-    devices: usize,
-    placement: PlacementPolicy,
-    kills: Vec<DeviceKill>,
-    rolling_update: Option<f64>,
-    heal: bool,
-    harness: Harness,
-}
-
-impl Cli {
-    /// True when the invocation engages the fleet path (see the `serve`
-    /// binary: more than one device, a kill schedule, or control-plane
-    /// intent).
-    fn fleet_mode(&self) -> bool {
-        self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
-    }
+    serve: ServeArgs,
 }
 
 /// The flag grammar, separated from process state so tests can drive it.
 fn parse(args: &[String]) -> Result<Cli, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        flag: &str,
-        v: &str,
-    ) -> Result<T, String> {
-        let n: T = v
-            .parse()
-            .map_err(|_| format!("{flag} expects a positive number, got {v:?}"))?;
-        if n < T::from(1u8) {
-            return Err(format!("{flag} must be >= 1"));
-        }
-        Ok(n)
-    }
     let mut cli = Cli {
         rps: 4000.0,
-        duration_s: 0.05,
         mode: Mode::Morpheus,
-        apps: 3,
-        bytes: 64 * 1024,
-        depth: 64,
-        batch: 8,
-        sq_depth: 64,
-        policy: ServePolicy::Shed,
-        skew: 0.0,
-        cache_mb: 0,
-        cache_host_mb: 0,
-        cache_policy: CachePolicy::TinyLfu,
         window: SimDuration::from_millis(10),
         slo: SloSpec::none(),
         format: Format::Text,
         out: None,
-        devices: 1,
-        placement: PlacementPolicy::HashByFile,
-        kills: Vec::new(),
-        rolling_update: None,
-        heal: false,
-        harness: Harness::default(),
+        serve: ServeArgs::default(),
     };
-    let mut harness_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    cli.serve = ServeArgs::parse(args, |_, flag, it| {
+        match flag {
             "--rps" => {
-                let v = value("--rps", &mut it)?;
+                let v = flag_value(flag, it)?;
                 let r: f64 = v
                     .parse()
                     .map_err(|_| format!("--rps expects a number, got {v:?}"))?;
@@ -135,18 +73,8 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.rps = r;
             }
-            "--duration" => {
-                let v = value("--duration", &mut it)?;
-                let d: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !d.is_finite() || d <= 0.0 {
-                    return Err("--duration must be positive".into());
-                }
-                cli.duration_s = d;
-            }
             "--mode" => {
-                let v = value("--mode", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.mode = match v.as_str() {
                     "conventional" => Mode::Conventional,
                     "morpheus" => Mode::Morpheus,
@@ -158,55 +86,16 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     }
                 };
             }
-            "--apps" => cli.apps = positive::<usize>("--apps", value("--apps", &mut it)?)?,
-            "--bytes" => cli.bytes = positive::<u64>("--bytes", value("--bytes", &mut it)?)?,
-            "--depth" => cli.depth = positive::<usize>("--depth", value("--depth", &mut it)?)?,
-            "--batch" => cli.batch = positive::<usize>("--batch", value("--batch", &mut it)?)?,
-            "--sq-depth" => {
-                cli.sq_depth = positive::<usize>("--sq-depth", value("--sq-depth", &mut it)?)?
-            }
-            "--policy" => {
-                let v = value("--policy", &mut it)?;
-                cli.policy = ServePolicy::parse(v)
-                    .ok_or_else(|| format!("--policy expects shed|fallback, got {v:?}"))?;
-            }
-            "--skew" => {
-                let v = value("--skew", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--skew expects a number, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--skew must be finite and non-negative".into());
-                }
-                cli.skew = s;
-            }
-            "--cache-mb" => {
-                let v = value("--cache-mb", &mut it)?;
-                cli.cache_mb = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb expects a byte count in MB, got {v:?}"))?;
-            }
-            "--cache-host-mb" => {
-                let v = value("--cache-host-mb", &mut it)?;
-                cli.cache_host_mb = v.parse().map_err(|_| {
-                    format!("--cache-host-mb expects a byte count in MB, got {v:?}")
-                })?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy", &mut it)?;
-                cli.cache_policy = CachePolicy::parse(v)
-                    .ok_or_else(|| format!("--cache-policy expects tinylfu|lru, got {v:?}"))?;
-            }
             "--window" => {
-                let v = value("--window", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.window = parse_duration(v).map_err(|e| format!("--window: {e}"))?;
             }
             "--slo" => {
-                let v = value("--slo", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.slo = SloSpec::parse(v).map_err(|e| format!("--slo: {e}"))?;
             }
             "--format" => {
-                let v = value("--format", &mut it)?;
+                let v = flag_value(flag, it)?;
                 cli.format = match v.as_str() {
                     "text" => Format::Text,
                     "csv" => Format::Csv,
@@ -214,51 +103,12 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     other => return Err(format!("--format expects text|csv|prom, got {other:?}")),
                 };
             }
-            "--out" => cli.out = Some(value("--out", &mut it)?.clone()),
-            "--devices" => {
-                cli.devices = positive::<usize>("--devices", value("--devices", &mut it)?)?
-            }
-            "--placement" => {
-                let v = value("--placement", &mut it)?;
-                cli.placement = PlacementPolicy::parse(v)
-                    .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
-            }
-            "--kill-device" => {
-                let v = value("--kill-device", &mut it)?;
-                cli.kills
-                    .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
-            }
-            "--rolling-update" => {
-                let v = value("--rolling-update", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--rolling-update expects seconds, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--rolling-update must be finite and >= 0".into());
-                }
-                cli.rolling_update = Some(s);
-            }
-            "--heal" => cli.heal = true,
-            // Harness flags: re-validated by the shared grammar so
-            // `--faults bogus` fails exactly as in every figure binary.
-            "--seed" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
-            }
+            "--out" => cli.out = Some(flag_value(flag, it)?.clone()),
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    cli.harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
-    for k in &cli.kills {
-        if k.device >= cli.devices {
-            return Err(format!(
-                "--kill-device names device {} but --devices is {}",
-                k.device, cli.devices
-            ));
-        }
-    }
-    if cli.format == Format::Prom && cli.devices > 1 {
+        Ok(())
+    })?;
+    if cli.format == Format::Prom && cli.serve.fleet.devices > 1 {
         return Err(
             "--format prom requires --devices 1: a Prometheus exposition declares \
              each metric once (use --format csv for per-device windows)"
@@ -268,32 +118,22 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Stages `apps` tenant inputs (~`bytes` each of two-column text edges)
-/// into a fresh paper-testbed system, then arms any fault plan — the same
-/// staging recipe the `serve` binary uses, so cells agree across tools.
-fn build_system(cli: &Cli) -> (System, Vec<AppSpec>) {
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        sys.create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        sys.set_fault_plan(plan);
-    }
-    (sys, specs)
+/// One report's request counts and latency quantiles.
+fn summary(r: &ServeReport) -> String {
+    format!(
+        "offered {} completed {} shed {} failed {} | p50 {:.1}us p99 {:.1}us\n",
+        r.offered,
+        r.completed,
+        r.shed,
+        r.failed,
+        r.e2e_ns.p50() as f64 / 1e3,
+        r.e2e_ns.p99() as f64 / 1e3,
+    )
+}
+
+/// A device's sampled windows (every cell here arms the sampler).
+fn windows(r: &ServeReport) -> &TelemetryReport {
+    r.telemetry.as_ref().expect("sampler installed")
 }
 
 fn main() {
@@ -303,176 +143,74 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     });
+    let sa = &cli.serve;
 
-    let cache_cfg = CacheConfig {
-        dram_bytes: cli.cache_mb << 20,
-        host_bytes: cli.cache_host_mb << 20,
-        policy: cli.cache_policy,
-        seed: cli.harness.seed,
-    };
     let mut tcfg = TelemetryConfig::new(cli.window);
     tcfg.slo = cli.slo.clone();
-    let cfg = ServeConfig {
-        rps: cli.rps,
-        duration_s: cli.duration_s,
-        depth: cli.depth,
-        batch_max: cli.batch,
-        sq_depth: cli.sq_depth,
-        mode: cli.mode,
-        policy: cli.policy,
-        seed: cli.harness.seed,
-        skew: cli.skew,
-        telemetry: Some(tcfg),
-        fast_forward: false,
-    };
-    let labels_owned = (cli.mode.to_string(), format!("{:.0}", cli.rps));
-
-    if cli.fleet_mode() {
-        // Fleet path: telemetry is sampled per device (the aggregate
-        // report carries none), so every format renders one labelled
-        // block per fleet member.
-        let mut fc = FleetConfig::new(cli.devices);
-        fc.placement = cli.placement;
-        fc.seed = cli.harness.seed;
-        fc.kills = cli.kills.clone();
-        fc.control.rolling = cli.rolling_update.map(RollingUpdate::starting_at);
-        if cli.heal {
-            fc.control.heal = Some(HealPolicy::default());
-        }
-        let mut fleet = Fleet::new(SystemParams::paper_testbed(), fc);
-        let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-        let mut specs = Vec::new();
-        for i in 0..cli.apps {
-            let name = format!("svc{i}");
-            let file = format!("{name}.txt");
-            let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-            let mut w = TextWriter::new();
-            for _ in 0..(cli.bytes / 12).max(1) {
-                w.write_u64(rng.next_below(100_000));
-                w.sep();
-                w.write_u64(rng.next_below(100_000));
-                w.newline();
-            }
-            fleet
-                .create_input_file(&file, &w.into_bytes())
-                .expect("staging tenant input");
-            specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-        }
-        if let Some(plan) = cli.harness.faults {
-            fleet.set_fault_plan(plan);
-        }
-        fleet.set_object_cache(cache_cfg);
-        let rep = fleet.serve(&specs, &cfg).unwrap_or_else(|e| {
+    let (mut fleet, specs) = sa.staged_fleet();
+    let rep = fleet
+        .serve(&specs, &sa.serve_config(cli.mode, cli.rps, Some(tcfg)))
+        .unwrap_or_else(|e| {
             eprintln!("error: serve failed: {}", render_error_chain(&e));
             std::process::exit(1);
         });
-        let rendered = match cli.format {
-            Format::Text => {
-                let mut s = format!(
-                    "telemetry: {} @ {:.0} rps, duration {}s, window {}, policy {}, seed {}, \
-                     devices {} placement {}\n",
-                    cli.mode,
-                    cli.rps,
-                    cli.duration_s,
-                    cli.window,
-                    cli.policy,
-                    cli.harness.seed,
-                    cli.devices,
-                    cli.placement
-                );
+    // Telemetry is sampled per device. Fleet runs render one labelled
+    // block per device; a plain solo SSD renders its one device bare.
+    let fleet_mode = fleet_mode(&sa.fleet);
+    let mode = cli.mode.to_string();
+    let rps = format!("{:.0}", cli.rps);
+    let rendered = match cli.format {
+        Format::Text => {
+            let mut s = format!(
+                "telemetry: {} @ {:.0} rps, duration {}s, window {}, policy {}, seed {}",
+                cli.mode, cli.rps, sa.base.duration_s, cli.window, sa.base.policy, sa.base.seed
+            );
+            if fleet_mode {
+                s.push_str(&format!(
+                    ", devices {} placement {}\n",
+                    sa.fleet.devices, sa.fleet.placement
+                ));
+                let a = &rep.aggregate;
                 s.push_str(&format!(
                     "fleet: rebalanced {} | offered {} completed {} shed {} failed {}\n",
-                    rep.rebalanced,
-                    rep.aggregate.offered,
-                    rep.aggregate.completed,
-                    rep.aggregate.shed,
-                    rep.aggregate.failed,
+                    rep.rebalanced, a.offered, a.completed, a.shed, a.failed,
                 ));
                 if let Some(c) = &rep.control {
                     s.push_str(&format!("{c}"));
                 }
                 for (i, d) in rep.per_device.iter().enumerate() {
-                    let t = d.telemetry.as_ref().expect("sampler installed");
-                    s.push_str(&format!(
-                        "device {i}: offered {} completed {} shed {} failed {} | \
-                         p50 {:.1}us p99 {:.1}us\n",
-                        d.offered,
-                        d.completed,
-                        d.shed,
-                        d.failed,
-                        d.e2e_ns.p50() as f64 / 1e3,
-                        d.e2e_ns.p99() as f64 / 1e3,
-                    ));
-                    s.push_str(&format!("{t}"));
+                    s.push_str(&format!("device {i}: {}{}", summary(d), windows(d)));
                     if !s.ends_with('\n') {
                         s.push('\n');
                     }
                 }
-                s
+            } else {
+                s.push_str(&format!(
+                    "\n{}{}",
+                    summary(&rep.aggregate),
+                    windows(&rep.aggregate)
+                ));
             }
-            Format::Csv => {
-                let mut s = String::new();
-                for (i, d) in rep.per_device.iter().enumerate() {
-                    let t = d.telemetry.as_ref().expect("sampler installed");
-                    s.push_str(&t.to_csv(&[
-                        ("mode", labels_owned.0.clone()),
-                        ("target_rps", labels_owned.1.clone()),
-                        ("device", i.to_string()),
-                    ]));
-                }
-                s
-            }
-            // --devices 1 enforced at parse time: the lone device of a
-            // kill-schedule run.
-            Format::Prom => rep.per_device[0]
-                .telemetry
-                .as_ref()
-                .expect("sampler installed")
-                .to_prometheus(
-                    "morpheus",
-                    &[("mode", &labels_owned.0), ("rps", &labels_owned.1)],
-                ),
-        };
-        emit(&cli, &rendered);
-        return;
-    }
-
-    let (mut sys, specs) = build_system(&cli);
-    sys.set_object_cache(cache_cfg);
-    let rep = sys.serve(&specs, &cfg).unwrap_or_else(|e| {
-        eprintln!("error: serve failed: {}", render_error_chain(&e));
-        std::process::exit(1);
-    });
-    let t = rep.telemetry.as_ref().expect("sampler installed");
-
-    let rendered = match cli.format {
-        Format::Text => {
-            let mut s = format!(
-                "telemetry: {} @ {:.0} rps, duration {}s, window {}, policy {}, seed {}\n",
-                cli.mode, cli.rps, cli.duration_s, cli.window, cli.policy, cli.harness.seed
-            );
-            s.push_str(&format!(
-                "offered {} completed {} shed {} failed {} | p50 {:.1}us p99 {:.1}us\n",
-                rep.offered,
-                rep.completed,
-                rep.shed,
-                rep.failed,
-                rep.e2e_ns.p50() as f64 / 1e3,
-                rep.e2e_ns.p99() as f64 / 1e3,
-            ));
-            s.push_str(&format!("{t}"));
             s
         }
         // "target_rps": the offered rate, distinct from the derived
         // per-window "rps" (completed) column.
-        Format::Csv => t.to_csv(&[
-            ("mode", labels_owned.0.clone()),
-            ("target_rps", labels_owned.1.clone()),
-        ]),
-        Format::Prom => t.to_prometheus(
-            "morpheus",
-            &[("mode", &labels_owned.0), ("rps", &labels_owned.1)],
-        ),
+        Format::Csv => rep
+            .per_device
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut labels = vec![("mode", mode.clone()), ("target_rps", rps.clone())];
+                if fleet_mode {
+                    labels.push(("device", i.to_string()));
+                }
+                windows(d).to_csv(&labels)
+            })
+            .collect(),
+        // One device, validated at parse time.
+        Format::Prom => {
+            windows(&rep.per_device[0]).to_prometheus("morpheus", &[("mode", &mode), ("rps", &rps)])
+        }
     };
     emit(&cli, &rendered);
 }
@@ -510,24 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_full_grammar() {
+    fn parse_own_grammar() {
         let cli = parse(&argv(&[
             "--rps",
             "8000",
-            "--duration",
-            "0.1",
             "--mode",
             "morpheus+p2p",
-            "--apps",
-            "2",
-            "--bytes",
-            "4096",
-            "--policy",
-            "fallback",
-            "--skew",
-            "1.1",
-            "--cache-mb",
-            "256",
             "--window",
             "5ms",
             "--slo",
@@ -536,10 +262,6 @@ mod tests {
             "prom",
             "--out",
             "t.prom",
-            "--seed",
-            "7",
-            "--faults",
-            "seed=9,crash=0.1",
         ]))
         .expect("valid");
         assert_eq!(cli.rps, 8000.0);
@@ -548,8 +270,6 @@ mod tests {
         assert_eq!(cli.slo.objectives.len(), 2);
         assert_eq!(cli.format, Format::Prom);
         assert_eq!(cli.out.as_deref(), Some("t.prom"));
-        assert_eq!(cli.harness.seed, 7);
-        assert!(cli.harness.faults.is_some());
     }
 
     #[test]
@@ -557,7 +277,6 @@ mod tests {
         for bad in [
             vec!["--rps", "0"],                         // non-positive rate
             vec!["--rps", "nan"],                       // non-finite
-            vec!["--duration", "-1"],                   // negative
             vec!["--mode", "all"],                      // sweep grammar not accepted here
             vec!["--window", "0ms"],                    // zero window
             vec!["--window", "later"],                  // malformed
@@ -567,53 +286,7 @@ mod tests {
             vec!["--format", "json"],                   // unknown format
             vec!["--jobs", "4"],                        // single cell: no fan-out flag
             vec!["--telemetry-window", "10ms"],         // serve's spelling
-            vec!["--faults", "bogus"],                  // bad fault spec
-            vec!["--devices", "0"],                     // zero devices
-            vec!["--placement", "random"],              // unknown policy
-            vec!["--kill-device", "1@0.01"],            // device outside fleet
             vec!["--devices", "2", "--format", "prom"], // prom is single-device
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_fleet_grammar() {
-        let cli = parse(&argv(&[
-            "--devices",
-            "3",
-            "--placement",
-            "rr",
-            "--kill-device",
-            "1@0.02",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.devices, 3);
-        assert_eq!(cli.placement, PlacementPolicy::RoundRobin);
-        assert_eq!(cli.kills.len(), 1);
-        assert!(cli.fleet_mode());
-        assert!(!parse(&argv(&[])).unwrap().fleet_mode());
-    }
-
-    #[test]
-    fn parse_control_grammar() {
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--rolling-update",
-            "0.005",
-            "--heal",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.rolling_update, Some(0.005));
-        assert!(cli.heal);
-        assert!(cli.fleet_mode());
-        // Control intent alone engages the fleet path.
-        assert!(parse(&argv(&["--heal"])).expect("valid").fleet_mode());
-        for bad in [
-            vec!["--rolling-update"],
-            vec!["--rolling-update", "-0.1"],
-            vec!["--rolling-update", "nan"],
         ] {
             assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
         }

@@ -11,7 +11,7 @@
 //!   print a per-layer, per-event-name delta table.
 
 use morpheus::Mode;
-use morpheus_bench::Harness;
+use morpheus_bench::{flag_value, Harness};
 use morpheus_simcore::{render_error_chain, render_trace_diff, TraceLog, Tracer};
 use morpheus_workloads::{run_benchmark, suite};
 
@@ -38,21 +38,18 @@ enum Cmd {
 
 /// The flag grammar, separated from process state so tests can drive it.
 fn parse(args: &[String]) -> Result<Cmd, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
     let mut app: Option<String> = None;
     let mut mode = Mode::Morpheus;
     let mut trace_out: Option<String> = None;
     let mut summary_width = 48usize;
     let mut diff: Option<(String, String)> = None;
-    let mut harness_args: Vec<String> = Vec::new();
+    let mut harness = Harness::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--app" => app = Some(value("--app", &mut it)?.clone()),
+            "--app" => app = Some(flag_value("--app", &mut it)?.clone()),
             "--mode" => {
-                let v = value("--mode", &mut it)?;
+                let v = flag_value("--mode", &mut it)?;
                 mode = match v.as_str() {
                     "conventional" => Mode::Conventional,
                     "morpheus" => Mode::Morpheus,
@@ -64,9 +61,9 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
                     }
                 };
             }
-            "--trace-out" => trace_out = Some(value("--trace-out", &mut it)?.clone()),
+            "--trace-out" => trace_out = Some(flag_value("--trace-out", &mut it)?.clone()),
             "--summary-width" => {
-                let v = value("--summary-width", &mut it)?;
+                let v = flag_value("--summary-width", &mut it)?;
                 summary_width = v.parse().map_err(|_| {
                     format!("--summary-width expects a positive integer, got {v:?}")
                 })?;
@@ -75,19 +72,17 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
                 }
             }
             "--diff" => {
-                let a = value("--diff", &mut it)?.clone();
+                let a = flag_value("--diff", &mut it)?.clone();
                 let b = it.next().ok_or("--diff requires two trace files")?.clone();
                 diff = Some((a, b));
             }
-            // Harness flags: re-validated by the shared grammar below so
-            // `--scale 0` fails here exactly as it does in every figure
-            // binary.
-            "--scale" | "--seed" | "--jobs" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
+            // Harness flags go through the shared grammar, so `--scale 0`
+            // fails here exactly as it does in every figure binary.
+            other => {
+                if !harness.accept(other, &mut it).map_err(|e| e.0)? {
+                    return Err(format!("unknown flag {other:?}"));
+                }
             }
-            other => return Err(format!("unknown flag {other:?}")),
         }
     }
     if let Some((a, b)) = diff {
@@ -97,7 +92,6 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
         return Ok(Cmd::Diff { a, b });
     }
     let app = app.ok_or("missing required flag --app (or use --diff)")?;
-    let harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
     Ok(Cmd::Run {
         app,
         mode,

@@ -14,6 +14,12 @@ use morpheus::{Mode, RunReport, StorageKind, System, SystemParams};
 use morpheus_simcore::FaultPlan;
 use morpheus_workloads::{run_benchmark, stage_input, BenchOutcome, Benchmark};
 
+mod serve_args;
+pub use serve_args::{
+    accept_fleet_flag, finish_fleet, flag_value, fleet_mode, schedule_banner, stage_tenants,
+    ServeArgs,
+};
+
 /// Command-line configuration shared by all figure binaries.
 #[derive(Debug, Clone, Copy)]
 pub struct Harness {
@@ -92,56 +98,66 @@ impl Harness {
 
     /// The argument grammar, separated from process state for testing.
     pub fn parse(args: &[String], extra: &[&str]) -> Result<Self, ArgError> {
-        fn value_of<'a>(
-            flag: &str,
-            it: &mut std::slice::Iter<'a, String>,
-        ) -> Result<&'a String, ArgError> {
-            it.next()
-                .ok_or_else(|| ArgError(format!("{flag} requires a value")))
-        }
         let mut h = Harness::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    let v = value_of("--scale", &mut it)?;
-                    h.scale = v.parse().map_err(|_| {
-                        ArgError(format!("--scale expects a positive integer, got {v:?}"))
-                    })?;
-                    if h.scale == 0 {
-                        return Err(ArgError("--scale must be >= 1".into()));
-                    }
-                }
-                "--seed" => {
-                    let v = value_of("--seed", &mut it)?;
-                    h.seed = v.parse().map_err(|_| {
-                        ArgError(format!("--seed expects an unsigned integer, got {v:?}"))
-                    })?;
-                }
-                "--jobs" => {
-                    let v = value_of("--jobs", &mut it)?;
-                    h.jobs = v.parse().map_err(|_| {
-                        ArgError(format!("--jobs expects a positive integer, got {v:?}"))
-                    })?;
-                    if h.jobs == 0 {
-                        return Err(ArgError("--jobs must be >= 1".into()));
-                    }
-                }
-                "--faults" => {
-                    let v = value_of("--faults", &mut it)?;
-                    let plan =
-                        FaultPlan::parse(v).map_err(|e| ArgError(format!("--faults: {e}")))?;
-                    h.faults = Some(plan);
-                }
-                other if extra.contains(&other) => {
-                    value_of(other, &mut it)?;
-                }
-                other => {
-                    return Err(ArgError(format!("unknown flag {other:?}")));
-                }
+            if h.accept(arg, &mut it)? {
+                continue;
             }
+            if !extra.contains(&arg.as_str()) {
+                return Err(ArgError(format!("unknown flag {arg:?}")));
+            }
+            value_of(arg, &mut it)?;
         }
         Ok(h)
+    }
+
+    /// Parses one harness flag (`--scale`, `--seed`, `--jobs`,
+    /// `--faults`) and its value; `Ok(false)` when `flag` is not one.
+    /// Binaries with a grammar of their own route the harness flags they
+    /// take through here.
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed value.
+    pub fn accept(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, ArgError> {
+        match flag {
+            "--scale" => {
+                let v = value_of("--scale", it)?;
+                self.scale = v.parse().map_err(|_| {
+                    ArgError(format!("--scale expects a positive integer, got {v:?}"))
+                })?;
+                if self.scale == 0 {
+                    return Err(ArgError("--scale must be >= 1".into()));
+                }
+            }
+            "--seed" => {
+                let v = value_of("--seed", it)?;
+                self.seed = v.parse().map_err(|_| {
+                    ArgError(format!("--seed expects an unsigned integer, got {v:?}"))
+                })?;
+            }
+            "--jobs" => {
+                let v = value_of("--jobs", it)?;
+                self.jobs = v.parse().map_err(|_| {
+                    ArgError(format!("--jobs expects a positive integer, got {v:?}"))
+                })?;
+                if self.jobs == 0 {
+                    return Err(ArgError("--jobs must be >= 1".into()));
+                }
+            }
+            "--faults" => {
+                let v = value_of("--faults", it)?;
+                let plan = FaultPlan::parse(v).map_err(|e| ArgError(format!("--faults: {e}")))?;
+                self.faults = Some(plan);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Runs `f` once per benchmark on `self.jobs` worker threads and
@@ -190,6 +206,10 @@ impl Harness {
         }
         sys
     }
+}
+
+fn value_of<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, ArgError> {
+    flag_value(flag, it).map_err(ArgError)
 }
 
 /// Maps `f` over `items` on up to `jobs` threads, preserving input

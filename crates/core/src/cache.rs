@@ -43,6 +43,7 @@ use morpheus_format::ParsedColumns;
 use morpheus_simcore::SplitMix64;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 /// Admission policy of the DRAM tier (see module docs).
@@ -181,6 +182,40 @@ impl CacheStats {
             dram_bytes: self.dram_bytes,
             host_bytes: self.host_bytes,
         }
+    }
+}
+
+/// Counter-wise sum, occupancy included (summed over several caches it
+/// is the bytes cached across all of them). The destructuring names
+/// every field, so adding one fails to compile until it is merged here.
+impl AddAssign<&CacheStats> for CacheStats {
+    fn add_assign(&mut self, rhs: &CacheStats) {
+        let CacheStats {
+            hits,
+            dram_hits,
+            host_hits,
+            misses,
+            admitted,
+            rejected,
+            evictions,
+            spills,
+            promotions,
+            invalidations,
+            dram_bytes,
+            host_bytes,
+        } = rhs;
+        self.hits += hits;
+        self.dram_hits += dram_hits;
+        self.host_hits += host_hits;
+        self.misses += misses;
+        self.admitted += admitted;
+        self.rejected += rejected;
+        self.evictions += evictions;
+        self.spills += spills;
+        self.promotions += promotions;
+        self.invalidations += invalidations;
+        self.dram_bytes += dram_bytes;
+        self.host_bytes += host_bytes;
     }
 }
 

@@ -16,13 +16,15 @@
 //! so the assignment — and therefore every byte of every per-device
 //! report — is a pure function of (seed, app list, fleet config). The
 //! offered load is the *same* global stream a single SSD would see
-//! ([`offered_requests`]); a fleet run partitions it, so `--devices 1`
-//! reproduces the single-SSD reports bit for bit.
+//! ([`offered_requests`]) and a fleet run partitions it. A one-device
+//! fleet is therefore the single-SSD simulator: its device serves the
+//! whole stream exactly as [`System::serve`] would, and the aggregate of
+//! one report is that report ([`aggregate_reports`]).
 //!
 //! [`AdminController`]: morpheus_nvme::AdminController
 
 use crate::cache::{CacheConfig, CacheStats};
-use crate::control::{ControlConfig, ControlPlan, ControlReport};
+use crate::control::{ControlConfig, ControlPlan, ControlReport, DeviceState};
 use crate::exec::{AppSpec, RunError};
 use crate::serve::{offered_requests, validate_serve_cfg, Request, ServeConfig, ServeReport};
 use crate::{System, SystemParams};
@@ -407,20 +409,37 @@ impl Fleet {
         merged
     }
 
+    /// Compiles the control plan (kills, heals, rolling updates) for a
+    /// run whose arrivals end at `horizon`.
+    fn plan(&self, horizon: SimTime) -> ControlPlan {
+        ControlPlan::compile(
+            &self.cfg.control,
+            self.devices.len(),
+            &self.cfg.kills,
+            horizon,
+        )
+    }
+
     /// The devices placement may target: every device, minus any that
-    /// the kill schedule declares dead at t=0 *permanently* (no heal
-    /// policy to bring them back). Placing a tenant on a device that can
-    /// never admit a single request just taxes every arrival with the
-    /// rebalance scan — the dead-device placement bug. When the whole
-    /// fleet is dead at t=0 the full device list is returned so serving
-    /// fails with the usual typed [`DeviceDown`] error.
-    fn placement_candidates(&self) -> Vec<usize> {
-        let healing = self.cfg.control.heal.is_some();
-        let eligible: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| healing || self.killed_at(d) != Some(SimTime::ZERO))
+    /// the plan fails at t=0 *for good* (its timeline ends in that
+    /// `Failed` edge — no heal brings it back). Placing a tenant on a
+    /// device that can never admit a single request just taxes every
+    /// arrival with the rebalance scan — the dead-device placement bug.
+    /// When the whole fleet is dead at t=0 the full device list is
+    /// returned so serving fails with the usual typed [`DeviceDown`]
+    /// error.
+    fn placement_candidates(plan: &ControlPlan) -> Vec<usize> {
+        let eligible: Vec<usize> = (0..plan.devices())
+            .filter(|&d| {
+                let dead_for_good = plan
+                    .timeline(d)
+                    .last()
+                    .is_some_and(|t| t.at == SimTime::ZERO && t.to == DeviceState::Failed);
+                !dead_for_good
+            })
             .collect();
         if eligible.is_empty() {
-            (0..self.devices.len()).collect()
+            (0..plan.devices()).collect()
         } else {
             eligible
         }
@@ -432,7 +451,14 @@ impl Fleet {
     /// Devices dead at t=0 with no heal policy receive no tenants (see
     /// [`placement_candidates`](Self::placement_candidates)).
     pub fn placement(&self, apps: &[AppSpec]) -> Vec<usize> {
-        let cand = self.placement_candidates();
+        // Rolling phases never fail a device, so a zero horizon (which
+        // drops them all) answers the t=0 question.
+        self.place(&self.plan(SimTime::ZERO), apps)
+    }
+
+    /// [`placement`](Self::placement) against an already compiled plan.
+    fn place(&self, plan: &ControlPlan, apps: &[AppSpec]) -> Vec<usize> {
+        let cand = Self::placement_candidates(plan);
         let n = cand.len() as u64;
         match self.cfg.placement {
             PlacementPolicy::RoundRobin => (0..apps.len()).map(|i| cand[i % n as usize]).collect(),
@@ -473,21 +499,6 @@ impl Fleet {
         }
     }
 
-    /// When `device` dies per the kill schedule (`None` = never).
-    pub fn killed_at(&self, device: usize) -> Option<SimTime> {
-        self.cfg
-            .kills
-            .iter()
-            .filter(|k| k.device == device)
-            .map(|k| k.at)
-            .min()
-    }
-
-    /// True if `device` still admits requests at `at`.
-    pub fn alive_at(&self, device: usize, at: SimTime) -> bool {
-        self.killed_at(device).is_none_or(|t| at < t)
-    }
-
     /// Routes one arrival: the placement target if it admits at `at`,
     /// else the first admitting peer scanning upward from it
     /// (deterministic in the fleet config alone — the control plan is
@@ -518,9 +529,9 @@ impl Fleet {
     /// [`FleetReport::rebalanced`]), and every device then serves its
     /// slice through the single-SSD dispatcher: per-device admission
     /// queue, same-app batching, per-tenant NVMe queues, per-device
-    /// telemetry windows. A one-device fleet with no kill schedule
-    /// delegates to [`System::serve`] outright, so its report is
-    /// byte-identical to the single-SSD path.
+    /// telemetry windows. With one device and nothing killing it, that
+    /// device serves the whole stream, so its report equals
+    /// [`System::serve`]'s and so does the aggregate.
     ///
     /// # Errors
     ///
@@ -536,22 +547,10 @@ impl Fleet {
             return Err(RunError::NoTenants);
         }
         validate_serve_cfg(cfg);
-        let placement = self.placement(apps);
-        let control_on = self.cfg.control.is_active();
-        if self.devices.len() == 1 && self.cfg.kills.is_empty() && !control_on {
-            let rep = self.devices[0].serve(apps, cfg)?;
-            return Ok(FleetReport {
-                policy: self.cfg.placement,
-                placement,
-                rebalanced: 0,
-                aggregate: rep.clone(),
-                per_device: vec![rep],
-                control: None,
-            });
-        }
         let n = self.devices.len();
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(cfg.duration_s);
-        let plan = ControlPlan::compile(&self.cfg.control, n, &self.cfg.kills, horizon);
+        let plan = self.plan(SimTime::ZERO + SimDuration::from_secs_f64(cfg.duration_s));
+        let placement = self.place(&plan, apps);
+        let control_on = self.cfg.control.is_active();
         let mut slices: Vec<Vec<Request>> = vec![Vec::new(); n];
         let mut rebalanced = 0u64;
         for r in offered_requests(cfg, apps.len()) {
@@ -632,37 +631,6 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Sums `b`'s fault counters into `a` (the simcore type carries no
-/// arithmetic of its own).
-fn add_faults(a: &mut FaultCounters, b: &FaultCounters) {
-    a.ecc_corrected += b.ecc_corrected;
-    a.media_retries += b.media_retries;
-    a.media_failures += b.media_failures;
-    a.nvme_timeouts += b.nvme_timeouts;
-    a.nvme_retries += b.nvme_retries;
-    a.core_stalls += b.core_stalls;
-    a.core_crashes += b.core_crashes;
-    a.pcie_degraded += b.pcie_degraded;
-    a.host_fallbacks += b.host_fallbacks;
-}
-
-/// Sums `b`'s cache counters into `a` (occupancy included: fleet-wide
-/// cached bytes across all controllers).
-fn add_cache(a: &mut CacheStats, b: &CacheStats) {
-    a.hits += b.hits;
-    a.dram_hits += b.dram_hits;
-    a.host_hits += b.host_hits;
-    a.misses += b.misses;
-    a.admitted += b.admitted;
-    a.rejected += b.rejected;
-    a.evictions += b.evictions;
-    a.spills += b.spills;
-    a.promotions += b.promotions;
-    a.invalidations += b.invalidations;
-    a.dram_bytes += b.dram_bytes;
-    a.host_bytes += b.host_bytes;
-}
-
 /// Rolls per-device serve reports into one fleet-wide report: counters
 /// sum, histograms merge, the makespan is the slowest device's, and the
 /// rates (`sustained_rps`, `aggregate_mbs`) are recomputed over that
@@ -672,9 +640,16 @@ fn add_cache(a: &mut CacheStats, b: &CacheStats) {
 /// reports. `ssd_core_utilization` is the per-device makespan-weighted
 /// mean, so a device that died early (and idled thereafter) doesn't drag
 /// the fleet number down as if it had run the whole time.
+///
+/// A fleet of one is the identity: the aggregate of one report is that
+/// report, telemetry and metrics included, so a one-device fleet renders
+/// exactly like the single SSD.
 pub fn aggregate_reports(per_device: &[ServeReport]) -> ServeReport {
-    assert!(!per_device.is_empty(), "aggregate of an empty fleet");
-    let first = &per_device[0];
+    let first = match per_device {
+        [] => panic!("aggregate of an empty fleet"),
+        [only] => return only.clone(),
+        [first, ..] => first,
+    };
     let mut agg = ServeReport {
         mode: first.mode,
         policy: first.policy,
@@ -725,9 +700,9 @@ pub fn aggregate_reports(per_device: &[ServeReport]) -> ServeReport {
         agg.queue_wait_ns.merge(&r.queue_wait_ns);
         agg.service_ns.merge(&r.service_ns);
         agg.e2e_ns.merge(&r.e2e_ns);
-        add_faults(&mut agg.faults, &r.faults);
+        agg.faults += &r.faults;
         if let Some(c) = &r.cache {
-            add_cache(agg.cache.get_or_insert_with(CacheStats::default), c);
+            *agg.cache.get_or_insert_with(CacheStats::default) += c;
         }
         // aggregate_mbs is bytes/makespan per device; undo the division
         // to sum bytes, then re-divide by the fleet makespan below.
@@ -804,8 +779,16 @@ mod tests {
 
     #[test]
     fn single_device_fleet_matches_solo_system_bit_for_bit() {
+        // Cache, telemetry and tracing on: every observable of a
+        // one-device fleet must equal the single-SSD engine's.
+        let mut cfg = quick_cfg();
+        cfg.skew = 1.1;
+        cfg.telemetry = Some(morpheus_simcore::TelemetryConfig::new(
+            SimDuration::from_millis(5),
+        ));
         let (mut fleet, specs) = fleet_with(FleetConfig::new(1), 3, 500);
-        let cfg = quick_cfg();
+        fleet.set_object_cache(CacheConfig::new(1 << 20));
+        fleet.enable_tracing();
         let fleet_rep = fleet.serve(&specs, &cfg).unwrap();
 
         let mut solo = System::new(SystemParams::paper_testbed());
@@ -813,14 +796,61 @@ mod tests {
             solo.create_input_file(&format!("svc{i}.txt"), &edge_text(500, i as u64))
                 .unwrap();
         }
+        solo.set_object_cache(CacheConfig::new(1 << 20));
+        solo.set_tracer(Tracer::enabled());
         let solo_rep = solo.serve(&specs, &cfg).unwrap();
+
+        assert!(solo_rep.cache.is_some() && solo_rep.telemetry.is_some());
         assert_eq!(
             format!("{}", fleet_rep.aggregate),
             format!("{solo_rep}"),
             "--devices 1 must reproduce the single-SSD report byte for byte"
         );
         assert_eq!(fleet_rep.per_device.len(), 1);
+        assert_eq!(fleet_rep.per_device[0].metrics, solo_rep.metrics);
         assert_eq!(fleet_rep.rebalanced, 0);
+        assert_eq!(
+            fleet.take_merged_trace().to_chrome_json(),
+            solo.tracer().take().to_chrome_json()
+        );
+    }
+
+    #[test]
+    fn aggregate_sums_every_fault_and_cache_counter() {
+        let (mut fleet, specs) = fleet_with(FleetConfig::new(2), 2, 100);
+        let rep = fleet.serve(&specs, &quick_cfg()).unwrap();
+        let (mut a, mut b) = (rep.per_device[0].clone(), rep.per_device[1].clone());
+        // Every field distinct, so a dropped or crossed field shows.
+        let faults = |k: u64| FaultCounters {
+            ecc_corrected: k,
+            media_retries: 2 * k,
+            media_failures: 3 * k,
+            nvme_timeouts: 4 * k,
+            nvme_retries: 5 * k,
+            core_stalls: 6 * k,
+            core_crashes: 7 * k,
+            pcie_degraded: 8 * k,
+            host_fallbacks: 9 * k,
+        };
+        let cache = |k: u64| CacheStats {
+            hits: k,
+            dram_hits: 2 * k,
+            host_hits: 3 * k,
+            misses: 4 * k,
+            admitted: 5 * k,
+            rejected: 6 * k,
+            evictions: 7 * k,
+            spills: 8 * k,
+            promotions: 9 * k,
+            invalidations: 10 * k,
+            dram_bytes: 11 * k,
+            host_bytes: 12 * k,
+        };
+        (a.faults, a.cache) = (faults(1), Some(cache(1)));
+        (b.faults, b.cache) = (faults(100), Some(cache(100)));
+        let agg = aggregate_reports(&[a, b]);
+        assert_eq!(agg.faults, faults(101));
+        assert_eq!(agg.cache, Some(cache(101)));
     }
 
     #[test]

@@ -106,13 +106,6 @@ pub struct ServeConfig {
     /// hook is a single `Option` branch, and the report renders exactly
     /// as before.
     pub telemetry: Option<TelemetryConfig>,
-    /// Skip the dispatch scan entirely while the system is quiescent
-    /// (admission queue empty): the clock jumps straight from one arrival
-    /// to the next. Dispatch order, telemetry, and SLO accounting are
-    /// unchanged — with nothing queued the scan is a no-op — so reports
-    /// and traces stay byte-identical with the flag on or off (pinned by
-    /// the serve determinism suite).
-    pub fast_forward: bool,
 }
 
 impl ServeConfig {
@@ -129,7 +122,6 @@ impl ServeConfig {
             seed: 42,
             skew: 0.0,
             telemetry: None,
-            fast_forward: false,
         }
     }
 }
@@ -416,8 +408,8 @@ impl System {
     /// Serves a pre-built request stream (the dispatch half of
     /// [`serve`](System::serve), which builds the stream itself). The
     /// fleet layer routes one global stream across devices and hands each
-    /// device its slice through this entry point, so a `--devices 1`
-    /// fleet run executes byte-for-byte the single-SSD path.
+    /// device its slice through this entry point; a one-device fleet's
+    /// slice is the whole stream, so its report equals `serve`'s.
     pub(crate) fn serve_requests(
         &mut self,
         apps: &[AppSpec],
@@ -503,9 +495,9 @@ impl System {
         for r in reqs {
             // Serve everything whose dispatch time has passed, so the
             // queue length this arrival sees is current. With nothing
-            // queued the scan is a no-op; fast-forward skips it and jumps
-            // the clock straight to this arrival.
-            if !cfg.fast_forward || st.queued > 0 {
+            // queued the scan would be a no-op, so idle stretches skip it
+            // and the clock jumps straight to this arrival.
+            if st.queued > 0 {
                 self.drain_due(&mut st, &mut ctx, r.arrival)?;
             }
             if let Some(s) = st.sampler.as_mut() {

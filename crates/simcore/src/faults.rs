@@ -33,6 +33,7 @@
 use crate::rng::SplitMix64;
 use crate::time::SimDuration;
 use std::fmt;
+use std::ops::AddAssign;
 
 /// A seeded, deterministic schedule of injected faults.
 ///
@@ -277,6 +278,33 @@ impl FaultCounters {
     /// True if any counter is non-zero.
     pub fn any(&self) -> bool {
         *self != FaultCounters::default()
+    }
+}
+
+/// Counter-wise sum. The destructuring names every field, so adding a
+/// counter fails to compile until it is merged here too.
+impl AddAssign<&FaultCounters> for FaultCounters {
+    fn add_assign(&mut self, rhs: &FaultCounters) {
+        let FaultCounters {
+            ecc_corrected,
+            media_retries,
+            media_failures,
+            nvme_timeouts,
+            nvme_retries,
+            core_stalls,
+            core_crashes,
+            pcie_degraded,
+            host_fallbacks,
+        } = rhs;
+        self.ecc_corrected += ecc_corrected;
+        self.media_retries += media_retries;
+        self.media_failures += media_failures;
+        self.nvme_timeouts += nvme_timeouts;
+        self.nvme_retries += nvme_retries;
+        self.core_stalls += core_stalls;
+        self.core_crashes += core_crashes;
+        self.pcie_degraded += pcie_degraded;
+        self.host_fallbacks += host_fallbacks;
     }
 }
 
