@@ -44,14 +44,7 @@ impl BinaryDeserializeApp {
             self.emitted_records = total;
         }
         let w = parser.work();
-        let delta = ParseWork {
-            bytes_scanned: w.bytes_scanned - self.last_work.bytes_scanned,
-            int_tokens: w.int_tokens - self.last_work.int_tokens,
-            int_digits: w.int_digits - self.last_work.int_digits,
-            float_tokens: w.float_tokens - self.last_work.float_tokens,
-            float_digits: w.float_digits - self.last_work.float_digits,
-        };
-        ctx.charge_work(&delta);
+        ctx.charge_work(&(w - self.last_work));
         self.last_work = w;
     }
 }

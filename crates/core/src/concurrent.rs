@@ -9,19 +9,27 @@
 //! round-robin so resource contention is modelled at chunk granularity —
 //! and reports per-tenant and aggregate throughput.
 //!
-//! The per-tenant state machine ([`TenantState`]) is shared with the
-//! open-loop serving layer (`serve.rs`), which steps tenants one request
-//! at a time instead of round-robin.
+//! The per-tenant state machine ([`TenantState`]) is the one driver of the
+//! Morpheus command lifecycle, MINIT → MREAD* → MDEINIT, and of the
+//! conventional read+parse loop the serving plane's host path runs. It
+//! serves three callers: this round-robin run, the solo run
+//! ([`System::run`] in Morpheus modes), and the open-loop serving layer
+//! (`serve.rs`), which steps one request at a time. The driver owns the
+//! mechanism — device commands, object landing, completion wakeups,
+//! object assembly; each caller keeps only its policy: the instance id,
+//! when each command issues (and so where the fault guard sits), how
+//! commands reach the device ([`Wire`]), and its own trace spans.
 
 use crate::deser_memo::{self, MemoKey};
-use crate::exec::{AppSpec, RunError};
+use crate::exec::{AppSpec, InputFormat, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::ChunkIo;
-use crate::{DeserializeApp, StorageKind, System};
+use crate::{BinaryDeserializeApp, DeserializeApp, StorageApp, StorageKind, System};
 use morpheus_format::{ParseWork, ParsedColumns, StreamingParser};
 use morpheus_host::CodeClass;
-use morpheus_pcie::{BarWindow, DmaDir};
-use morpheus_simcore::SimTime;
+use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
+use morpheus_pcie::{BarWindow, DmaDir, DmaOutcome};
+use morpheus_simcore::{Interval, SimTime};
 use std::sync::Arc;
 
 /// One tenant's outcome.
@@ -54,7 +62,43 @@ pub struct ConcurrentReport {
     pub context_switches: u64,
 }
 
-/// Per-tenant progress state, stepped one chunk at a time. Built via
+/// A command plus the completion the device will post for it.
+pub(crate) type WireCmd = (NvmeCommand, StatusCode, u32);
+
+/// How a caller hands its NVMe commands to the device.
+pub(crate) enum Wire<'a> {
+    /// Each command round-trips the shared I/O queue pair as it issues
+    /// (solo and round-robin runs).
+    Now,
+    /// Commands join a batch's burst, which the serving plane pumps
+    /// through the tenant's own queue with coalesced doorbells.
+    Batch(&'a mut Vec<WireCmd>),
+}
+
+/// Host-visible timing of one tenant command, for the caller's own trace
+/// spans and CPU accounting.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// Input bytes the command covered (zero for MDEINIT).
+    pub(crate) bytes: u64,
+    /// When the device finished the command (conventional: when the
+    /// chunk landed in the host buffer; finish: when parsing ended).
+    pub(crate) done: SimTime,
+    /// When the command's objects finished their DMA, if it produced any.
+    pub(crate) landed: Option<SimTime>,
+    /// The host-core grant that followed: the completion wakeup of a
+    /// Morpheus command, or a conventional chunk's read+parse slice.
+    pub(crate) wakeup: Option<Interval>,
+}
+
+impl Step {
+    /// When the command's effects were over on the host.
+    pub(crate) fn end(&self) -> SimTime {
+        self.wakeup.map_or(self.done, |w| w.end)
+    }
+}
+
+/// Per-tenant progress state, stepped one command at a time. Built via
 /// [`System::conventional_tenant`] / [`System::morpheus_tenant`] and driven
 /// with [`System::step_tenant`] / [`System::finish_tenant`].
 pub(crate) enum TenantState {
@@ -76,9 +120,10 @@ pub(crate) enum TenantState {
         chunks: Vec<ChunkIo>,
         next: usize,
         iid: u32,
-        /// Instance-ready floor every MREAD respects (fault injection may
-        /// push it back).
+        /// When the instance was ready for MREADs.
         ready: SimTime,
+        /// When the latest MREAD's output was delivered (MDEINIT issues
+        /// no earlier).
         last_end: SimTime,
         obj_bin: Vec<u8>,
         /// P2P delivery window; `None` delivers objects to host DRAM.
@@ -100,9 +145,89 @@ impl TenantState {
             TenantState::Morpheus { chunks, next, .. } => *next >= chunks.len(),
         }
     }
+
+    /// The earliest time the tenant's next command may issue: the
+    /// dispatch instant for a conventional tenant; for a Morpheus one the
+    /// instance-ready time while MREADs remain, then the last delivery
+    /// (MDEINIT).
+    pub(crate) fn next_issue(&self) -> SimTime {
+        match self {
+            TenantState::Conventional { start, .. } => *start,
+            TenantState::Morpheus {
+                chunks,
+                next,
+                ready,
+                last_end,
+                ..
+            } => {
+                if *next < chunks.len() {
+                    *ready
+                } else {
+                    *last_end
+                }
+            }
+        }
+    }
 }
 
 impl System {
+    /// Hands one command to the device the caller's way, under a fresh
+    /// command identifier.
+    pub(crate) fn send(
+        &mut self,
+        wire: &mut Wire<'_>,
+        cmd: impl FnOnce(u16) -> NvmeCommand,
+        status: StatusCode,
+        result: u32,
+    ) {
+        let cmd = cmd(self.alloc_cid());
+        match wire {
+            Wire::Now => {
+                self.round_trip(cmd, status, result);
+            }
+            Wire::Batch(burst) => burst.push((cmd, status, result)),
+        }
+    }
+
+    /// One OS command-completion path on a host core, no earlier than
+    /// `at`: the syscall that issues MINIT, or the wakeup after a
+    /// completion.
+    pub(crate) fn os_wakeup(&mut self, at: SimTime) -> Interval {
+        let c = self.os.command_completion();
+        self.cpu_cores
+            .acquire(at, self.cpu.duration(c.instructions, CodeClass::OsKernel))
+    }
+
+    /// Allocates the landing buffer for `n` bytes of objects: in the GPU's
+    /// BAR window when `bar` is mapped (P2P), else in host DRAM. Returns
+    /// its bus address.
+    pub(crate) fn land_buffer(&mut self, n: u64, bar: Option<BarWindow>) -> Result<u64, RunError> {
+        match bar {
+            Some(w) => {
+                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
+                Ok(w.base + buf.offset)
+            }
+            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory),
+        }
+    }
+
+    /// Lands `n` bytes of objects the drive pushes at `at`: allocates the
+    /// buffer, runs the fabric DMA, and books the memory-bus write when
+    /// the target is host DRAM.
+    pub(crate) fn land(
+        &mut self,
+        n: u64,
+        bar: Option<BarWindow>,
+        at: SimTime,
+    ) -> Result<DmaOutcome, RunError> {
+        let addr = self.land_buffer(n, bar)?;
+        let dma = self.fabric.dma(self.ssd_dev, DmaDir::Write, addr, n, at)?;
+        if bar.is_none() {
+            self.membus.transfer(dma.start, n);
+        }
+        Ok(dma)
+    }
+
     /// Builds a conventional tenant whose first I/O happens no earlier
     /// than `start`.
     pub(crate) fn conventional_tenant(
@@ -132,34 +257,50 @@ impl System {
         })
     }
 
-    /// Builds a Morpheus tenant: takes the MINIT syscall on a host core no
-    /// earlier than `start` and initializes instance `iid` on the drive.
-    /// The caller picks `iid` (so a dispatcher can pin instances to
-    /// embedded cores) and the delivery target (`bar` for P2P).
+    /// Builds a Morpheus tenant: issues MINIT for instance `iid`, reaching
+    /// the drive at `at` (the caller has taken the syscall and passed the
+    /// fault guard, in its own order). The caller picks `iid` (so a
+    /// dispatcher can pin instances to embedded cores) and the delivery
+    /// target (`bar` for P2P). The StorageApp matches the input encoding.
     pub(crate) fn morpheus_tenant(
         &mut self,
         spec: &AppSpec,
         iid: u32,
-        start: SimTime,
+        at: SimTime,
         bar: Option<BarWindow>,
+        wire: &mut Wire<'_>,
     ) -> Result<TenantState, RunError> {
-        let meta = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let chunks = Self::file_chunks(&meta, self.params.mread_chunk_bytes);
+        // The runtime resolves the file into a stream (ms_stream_create):
+        // permission checks and LBA layout stay on the host, §V-A2.
+        let stream = crate::ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
+            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
+        let chunks = stream.chunks().to_vec();
         let memo_key = self.device_memo_key(spec, &chunks);
         let prefab = memo_key.and_then(deser_memo::objects_get);
-        let c = self.os.command_completion();
-        let iv = self.cpu_cores.acquire(
-            start,
-            self.cpu.duration(c.instructions, CodeClass::OsKernel),
+        let app: Box<dyn StorageApp> = match spec.input_format {
+            InputFormat::Text => Box::new(DeserializeApp::new(&spec.name, spec.schema.clone())),
+            InputFormat::Binary(e) => Box::new(BinaryDeserializeApp::new(
+                &spec.name,
+                spec.schema.clone(),
+                e,
+            )),
+        };
+        let (code_len, file_len) = (app.code_bytes(), stream.len() as u32);
+        self.send(
+            wire,
+            |cid| {
+                MorpheusCommand::Init {
+                    instance_id: iid,
+                    code_ptr: 0x4000,
+                    code_len,
+                    arg: file_len,
+                }
+                .into_command(cid, 1)
+            },
+            StatusCode::Success,
+            0,
         );
-        let app = DeserializeApp::new(&spec.name, spec.schema.clone());
-        let ready = self
-            .mssd
-            .minit_keyed(iid, Box::new(app), iv.end, memo_key)?;
+        let ready = self.mssd.minit_keyed(iid, app, at, memo_key)?;
         Ok(TenantState::Morpheus {
             chunks,
             next: 0,
@@ -204,7 +345,8 @@ impl System {
                 Mode::Conventional => self.conventional_tenant(spec, SimTime::ZERO)?,
                 Mode::Morpheus => {
                     let iid = self.alloc_instance();
-                    self.morpheus_tenant(spec, iid, SimTime::ZERO, None)?
+                    let syscall = self.os_wakeup(SimTime::ZERO);
+                    self.morpheus_tenant(spec, iid, syscall.end, None, &mut Wire::Now)?
                 }
                 Mode::MorpheusP2P => return Err(RunError::NotGpuApp(spec.name.clone())),
             };
@@ -219,7 +361,8 @@ impl System {
                     continue;
                 }
                 progressed = true;
-                self.step_tenant(t)?;
+                let at = t.next_issue();
+                self.step_tenant(t, at, &mut Wire::Now)?;
             }
             if !progressed {
                 break;
@@ -229,12 +372,14 @@ impl System {
         // Finish every tenant and assemble reports.
         let mut reports = Vec::with_capacity(states.len());
         let mut makespan = SimTime::ZERO;
-        for t in states.iter_mut() {
-            let (name, mode, end, objects) = self.finish_tenant(t)?;
+        for (t, (spec, mode)) in states.iter_mut().zip(tenants) {
+            let at = t.next_issue();
+            let (step, objects) = self.finish_tenant(t, at, &mut Wire::Now)?;
+            let end = step.end();
             makespan = makespan.max(end);
             reports.push(TenantReport {
-                app: name,
-                mode,
+                app: spec.name.clone(),
+                mode: *mode,
                 deser_s: end.as_secs_f64(),
                 records: objects.records,
                 checksum: objects.checksum(),
@@ -251,40 +396,42 @@ impl System {
         })
     }
 
-    /// Issues one chunk of one tenant.
-    pub(crate) fn step_tenant(&mut self, t: &mut TenantState) -> Result<(), RunError> {
+    /// Issues one chunk of one tenant at `at`: a conventional READ and its
+    /// host parse, or an MREAD whose objects land and wake the host.
+    pub(crate) fn step_tenant(
+        &mut self,
+        t: &mut TenantState,
+        at: SimTime,
+        wire: &mut Wire<'_>,
+    ) -> Result<Step, RunError> {
         match t {
             TenantState::Conventional {
-                spec,
                 chunks,
                 next,
                 parser,
                 last_work,
                 buf_addr,
-                start,
                 cpu_ready,
+                ..
             } => {
                 let c = chunks[*next];
                 *next += 1;
-                let (data, t_ssd) = self.mssd.dev.read_range(c.slba, c.blocks, *start)?;
-                let dma = self.fabric.dma(
-                    self.ssd_dev,
-                    DmaDir::Write,
-                    *buf_addr,
-                    c.valid_bytes,
-                    t_ssd,
-                )?;
+                let buf = *buf_addr;
+                self.send(
+                    wire,
+                    |cid| NvmeCommand::read(cid, 1, c.slba, c.blocks, buf),
+                    StatusCode::Success,
+                    0,
+                );
+                let (data, t_ssd) = self.mssd.dev.read_range(c.slba, c.blocks, at)?;
+                let dma =
+                    self.fabric
+                        .dma(self.ssd_dev, DmaDir::Write, buf, c.valid_bytes, t_ssd)?;
                 let mb = self.membus.transfer(dma.start, c.valid_bytes);
                 let io_done = dma.end.max(mb.end);
                 parser.feed(&data[..c.valid_bytes as usize])?;
                 let w = parser.work();
-                let dw = ParseWork {
-                    bytes_scanned: w.bytes_scanned - last_work.bytes_scanned,
-                    int_tokens: w.int_tokens - last_work.int_tokens,
-                    int_digits: w.int_digits - last_work.int_digits,
-                    float_tokens: w.float_tokens - last_work.float_tokens,
-                    float_digits: w.float_digits - last_work.float_digits,
-                };
+                let dw = w - *last_work;
                 *last_work = w;
                 let os_cost = self.os.buffered_read(c.valid_bytes);
                 let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
@@ -298,66 +445,73 @@ impl System {
                     .acquire(io_done.max(*cpu_ready), os_t + parse_t);
                 *cpu_ready = iv.end;
                 self.membus.account(c.valid_bytes);
-                let _ = spec;
-                Ok(())
+                Ok(Step {
+                    bytes: c.valid_bytes,
+                    done: io_done,
+                    landed: None,
+                    wakeup: Some(iv),
+                })
             }
             TenantState::Morpheus {
                 chunks,
                 next,
                 iid,
-                ready,
                 last_end,
                 obj_bin,
                 bar,
                 prefab,
                 ..
             } => {
-                let bar = *bar;
-                let c = chunks[*next];
+                let (c, iid) = (chunks[*next], *iid);
                 *next += 1;
-                let out = self
-                    .mssd
-                    .mread(*iid, c.slba, c.blocks, c.valid_bytes, *ready)?;
-                if !out.output.is_empty() {
-                    let n = out.output.len() as u64;
-                    let addr = match bar {
-                        Some(w) => {
-                            let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                            w.base + buf.offset
+                self.send(
+                    wire,
+                    |cid| {
+                        MorpheusCommand::Read {
+                            instance_id: iid,
+                            slba: c.slba,
+                            blocks: c.blocks,
+                            dma_addr: 0x2000,
                         }
-                        None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-                    };
-                    let dma = self
-                        .fabric
-                        .dma(self.ssd_dev, DmaDir::Write, addr, n, out.done)?;
-                    if bar.is_none() {
-                        self.membus.transfer(dma.start, n);
-                    }
-                    let w = self.os.command_completion();
-                    let iv = self.cpu_cores.acquire(
-                        dma.end,
-                        self.cpu.duration(w.instructions, CodeClass::OsKernel),
-                    );
-                    *last_end = (*last_end).max(iv.end);
+                        .into_command(cid, 1)
+                    },
+                    StatusCode::Success,
+                    0,
+                );
+                let out = self.mssd.mread(iid, c.slba, c.blocks, c.valid_bytes, at)?;
+                let (landed, wakeup) = if out.output.is_empty() {
+                    (None, None)
                 } else {
-                    *last_end = (*last_end).max(out.done);
-                }
+                    let dma = self.land(out.output.len() as u64, *bar, out.done)?;
+                    (Some(dma.end), Some(self.os_wakeup(dma.end)))
+                };
+                let step = Step {
+                    bytes: c.valid_bytes,
+                    done: out.done,
+                    landed,
+                    wakeup,
+                };
+                *last_end = (*last_end).max(step.end());
                 // With a prefab in hand the assembled stream is never
                 // decoded, so skip the copy (lengths above still priced
                 // the DMA and bus legs identically).
                 if prefab.is_none() {
                     obj_bin.extend_from_slice(&out.output);
                 }
-                Ok(())
+                Ok(step)
             }
         }
     }
 
-    /// Completes a tenant's stream and returns its objects.
+    /// Completes a tenant's stream and returns its objects: a conventional
+    /// tenant's parser finishes; a Morpheus tenant issues MDEINIT at `at`,
+    /// lands the final objects, and wakes the host.
     pub(crate) fn finish_tenant(
         &mut self,
         t: &mut TenantState,
-    ) -> Result<(String, Mode, SimTime, Arc<ParsedColumns>), RunError> {
+        at: SimTime,
+        wire: &mut Wire<'_>,
+    ) -> Result<(Step, Arc<ParsedColumns>), RunError> {
         match t {
             TenantState::Conventional {
                 spec,
@@ -369,48 +523,30 @@ impl System {
                     std::mem::replace(parser, StreamingParser::new(spec.schema.clone()))
                         .finish()?;
                 objects.canonicalize();
-                Ok((
-                    spec.name.clone(),
-                    Mode::Conventional,
-                    *cpu_ready,
-                    Arc::new(objects),
-                ))
+                let step = Step {
+                    bytes: 0,
+                    done: *cpu_ready,
+                    landed: None,
+                    wakeup: None,
+                };
+                Ok((step, Arc::new(objects)))
             }
             TenantState::Morpheus {
                 spec,
                 iid,
-                last_end,
                 obj_bin,
                 bar,
                 memo_key,
                 prefab,
                 ..
             } => {
-                let bar = *bar;
-                let dein = self.mssd.mdeinit(*iid, *last_end)?;
-                let mut end = dein.done;
-                if !dein.host_output.is_empty() {
-                    let n = dein.host_output.len() as u64;
-                    let addr = match bar {
-                        Some(w) => {
-                            let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                            w.base + buf.offset
-                        }
-                        None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-                    };
-                    let dma = self
-                        .fabric
-                        .dma(self.ssd_dev, DmaDir::Write, addr, n, dein.done)?;
-                    if bar.is_none() {
-                        self.membus.transfer(dma.start, n);
-                    }
-                    end = dma.end;
-                }
-                let c = self.os.command_completion();
-                let iv = self.cpu_cores.acquire(
-                    end.max(*last_end),
-                    self.cpu.duration(c.instructions, CodeClass::OsKernel),
-                );
+                let iid = *iid;
+                let dein = self.mssd.mdeinit(iid, at)?;
+                let landed = match dein.host_output.len() as u64 {
+                    0 => None,
+                    n => Some(self.land(n, *bar, dein.done)?.end),
+                };
+                let wakeup = self.os_wakeup(landed.unwrap_or(dein.done));
                 let objects = match prefab.take() {
                     Some(o) => o,
                     None => {
@@ -422,12 +558,20 @@ impl System {
                         o
                     }
                 };
-                let mode = if bar.is_some() {
-                    Mode::MorpheusP2P
-                } else {
-                    Mode::Morpheus
+                debug_assert_eq!(dein.retval, objects.records as i32);
+                self.send(
+                    wire,
+                    |cid| MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
+                    StatusCode::Success,
+                    objects.records as u32,
+                );
+                let step = Step {
+                    bytes: 0,
+                    done: dein.done,
+                    landed,
+                    wakeup: Some(wakeup),
                 };
-                Ok((spec.name.clone(), mode, iv.end, objects))
+                Ok((step, objects))
             }
         }
     }

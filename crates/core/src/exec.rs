@@ -14,9 +14,10 @@
 //! * [`Mode::MorpheusP2P`] — same, but MREAD results DMA straight into GPU
 //!   memory through the BAR NVMe-P2P mapped.
 
+use crate::concurrent::Wire;
 use crate::report::{Mode, Phases, RunReport};
 use crate::system::ChunkIo;
-use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
+use crate::{MorpheusError, StorageKind, System};
 use morpheus_format::{
     BinaryStreamParser, Endianness, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
 };
@@ -25,11 +26,12 @@ use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{DmaDir, PcieError};
 use morpheus_simcore::{
-    FaultCounters, Metrics, SimDuration, SimTime, TelemetryReport, TraceLayer, TraceLog,
+    FaultCounters, Interval, Metrics, SimDuration, SimTime, TelemetryReport, TraceLayer, TraceLog,
 };
 use morpheus_ssd::SsdError;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Trace track for the host-visible NVMe I/O queue pair (queue id 1).
 const NVME_TRACK: &str = "ioq1";
@@ -210,6 +212,10 @@ pub enum RunError {
     /// candidate was dead too ([`crate::fleet::DeviceDown`] carries the
     /// devices and times).
     DeviceDown(crate::fleet::DeviceDown),
+    /// A serve config outside its domain (non-positive or non-finite
+    /// rate or duration, zero depth or batch, negative or non-finite
+    /// skew); names the rule broken.
+    InvalidServeConfig(&'static str),
 }
 
 impl fmt::Display for RunError {
@@ -231,6 +237,7 @@ impl fmt::Display for RunError {
             }
             RunError::NoTenants => write!(f, "no tenants: the request list is empty"),
             RunError::DeviceDown(_) => write!(f, "fleet routing failed: no healthy device"),
+            RunError::InvalidServeConfig(why) => write!(f, "invalid serve config: {why}"),
         }
     }
 }
@@ -291,8 +298,9 @@ struct DeserWindow {
     fell_back: bool,
 }
 
-/// Why a Morpheus-mode attempt was abandoned.
-enum MorpheusAbort {
+/// Why a Morpheus command lifecycle was abandoned, in a solo run or a
+/// served request alike.
+pub(crate) enum CmdAbort {
     /// Unrecoverable: surface the error to the caller.
     Fatal(RunError),
     /// Recoverable by degrading to host-side deserialization.
@@ -308,9 +316,28 @@ enum MorpheusAbort {
     },
 }
 
-impl From<RunError> for MorpheusAbort {
+impl From<RunError> for CmdAbort {
     fn from(e: RunError) -> Self {
-        MorpheusAbort::Fatal(e)
+        CmdAbort::Fatal(e)
+    }
+}
+
+impl CmdAbort {
+    /// Triage of an MREAD or MDEINIT of instance `iid`, issued at `at`,
+    /// that failed: an uncorrectable media read degrades to host
+    /// deserialization; any other error is fatal.
+    pub(crate) fn triage(e: RunError, at: SimTime, iid: u32) -> CmdAbort {
+        match e {
+            RunError::Morpheus(e) if e.status() == StatusCode::MediaUncorrectable => {
+                CmdAbort::Fallback {
+                    at,
+                    iid,
+                    status: StatusCode::MediaUncorrectable,
+                    cause: morpheus_simcore::render_error_chain(&e),
+                }
+            }
+            e => CmdAbort::Fatal(e),
+        }
     }
 }
 
@@ -334,12 +361,12 @@ impl System {
         self.telemetry_mark = self.tracer.recorded();
         match mode {
             Mode::Conventional => self.run_conventional(spec),
-            Mode::Morpheus => self.run_morpheus(spec, false),
+            Mode::Morpheus => self.run_morpheus(spec, mode),
             Mode::MorpheusP2P => {
                 if !matches!(spec.parallel, ParallelModel::GpuCuda) {
                     return Err(RunError::NotGpuApp(spec.name.clone()));
                 }
-                self.run_morpheus(spec, true)
+                self.run_morpheus(spec, mode)
             }
         }
     }
@@ -428,7 +455,7 @@ impl System {
                     let p = parser.as_mut().expect("live path has a parser");
                     p.feed(&text[..c.valid_bytes as usize])?;
                     let w = p.work();
-                    let dw = work_delta(&w, &last_work);
+                    let dw = w - last_work;
                     last_work = w;
                     if memo_key.is_some() {
                         recorded.push(dw);
@@ -602,162 +629,129 @@ impl System {
         Some(at)
     }
 
-    fn run_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, RunError> {
-        match self.try_morpheus(spec, p2p) {
-            Ok(out) => Ok(out),
-            Err(MorpheusAbort::Fatal(e)) => Err(e),
-            Err(MorpheusAbort::Fallback {
+    /// The one fault guard every Morpheus command passes before it
+    /// reaches the device, solo or served: rolls command loss (reissuing
+    /// with backoff), then an embedded-core stall, then a crash, for
+    /// command `cmd` of instance `iid` submitted at `at`. Returns the time
+    /// the command dispatches, or the fallback a spent reissue budget or a
+    /// crash forces.
+    pub(crate) fn guard_command(
+        &mut self,
+        cmd: &'static str,
+        at: SimTime,
+        iid: u32,
+    ) -> Result<SimTime, CmdAbort> {
+        let issue =
+            self.issue_with_timeouts(at, at)
+                .map_err(|(at, attempts)| CmdAbort::Fallback {
+                    at,
+                    iid,
+                    status: StatusCode::CommandTimeout,
+                    cause: format!("{cmd} lost {attempts} times; reissue budget spent"),
+                })?;
+        let issue = self.inject_core_stall(issue);
+        match self.inject_core_crash(issue) {
+            Some(at) => Err(CmdAbort::Fallback {
+                at,
+                iid,
+                status: StatusCode::CoreFault,
+                cause: format!("embedded core crashed during {cmd}"),
+            }),
+            None => Ok(issue),
+        }
+    }
+
+    /// Settles an abandoned Morpheus lifecycle: a fatal error passes
+    /// through; a fallback reaps the instance, completes its stream
+    /// through `wire` with the failure status, and books the degradation
+    /// (a `host-fallback` instant on `track`, the counter, the cause).
+    /// Returns when the host path may take over.
+    pub(crate) fn reap_aborted(
+        &mut self,
+        abort: CmdAbort,
+        track: &'static str,
+        wire: &mut Wire<'_>,
+    ) -> Result<SimTime, RunError> {
+        let (at, iid, status, cause) = match abort {
+            CmdAbort::Fatal(e) => return Err(e),
+            CmdAbort::Fallback {
                 at,
                 iid,
                 status,
                 cause,
-            }) => self.morpheus_fallback(spec, p2p, at, iid, status, cause),
-        }
-    }
-
-    /// Graceful degradation: reap the failed Morpheus command with its
-    /// error status, tear the instance down, and rerun deserialization on
-    /// the host starting at the failure time. The run still produces
-    /// bit-identical objects — just later, and visibly so in the report's
-    /// fault counters and the trace.
-    fn morpheus_fallback(
-        &mut self,
-        spec: &AppSpec,
-        p2p: bool,
-        at: SimTime,
-        iid: u32,
-        status: StatusCode,
-        cause: String,
-    ) -> Result<RunOutcome, RunError> {
+            } => (at, iid, status, cause),
+        };
         self.mssd.abort_instance(iid);
-        // The driver's abort path reaps the instance's stream with a
-        // synthetic completion carrying the failure status.
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
-        self.round_trip(wire, status, 0);
+        self.send(
+            wire,
+            |cid| MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
+            status,
+            0,
+        );
         self.tracer
-            .instant(TraceLayer::Host, OS_TRACK, "host-fallback", at);
+            .instant(TraceLayer::Host, track, "host-fallback", at);
         if let Some(fi) = self.faults.as_mut() {
             fi.counters.host_fallbacks += 1;
             fi.fallback_cause = Some(cause);
         }
-        let meta = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let (objects, mut window) = self.host_deser_window(spec, &meta, at)?;
-        window.fell_back = true;
-        let mode = if p2p {
-            Mode::MorpheusP2P
-        } else {
-            Mode::Morpheus
+        Ok(at)
+    }
+
+    /// A Morpheus-mode run. On a fault it degrades gracefully: the failed
+    /// stream is reaped and deserialization reruns on the host from the
+    /// failure time, still producing bit-identical objects — just later,
+    /// and visibly so in the report's fault counters and the trace.
+    fn run_morpheus(&mut self, spec: &AppSpec, mode: Mode) -> Result<RunOutcome, RunError> {
+        let (objects, window) = match self.try_morpheus(spec, mode == Mode::MorpheusP2P) {
+            Ok(v) => v,
+            Err(abort) => {
+                let at = self.reap_aborted(abort, OS_TRACK, &mut Wire::Now)?;
+                let meta = self
+                    .fs
+                    .open(&spec.input)
+                    .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
+                    .clone();
+                let (objects, mut window) = self.host_deser_window(spec, &meta, at)?;
+                window.fell_back = true;
+                (objects, window)
+            }
         };
         self.finish_run(spec, mode, objects, window)
     }
 
-    fn try_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, MorpheusAbort> {
-        // The runtime resolves the file into a stream (ms_stream_create):
-        // permission checks and LBA layout stay on the host, §V-A2.
-        let stream = crate::ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
-        let meta = stream.meta().clone();
-        let chunks = stream.chunks().to_vec();
-        let memo_key = self.device_memo_key(spec, &chunks);
+    /// The solo Morpheus lifecycle on the shared tenant driver. Its
+    /// policy: a fresh instance id; the MINIT syscall runs at time zero
+    /// and the guard follows it; every MREAD is guarded from the
+    /// instance-ready time, so a stall delays only its own command; each
+    /// command round-trips the shared queue at once; and it traces the
+    /// NVMe lifecycle and every host wakeup.
+    fn try_morpheus(
+        &mut self,
+        spec: &AppSpec,
+        p2p: bool,
+    ) -> Result<(ParsedColumns, DeserWindow), CmdAbort> {
         let iid = self.alloc_instance();
-        let app: Box<dyn StorageApp> = match spec.input_format {
-            InputFormat::Text => Box::new(DeserializeApp::new(&spec.name, spec.schema.clone())),
-            InputFormat::Binary(e) => Box::new(BinaryDeserializeApp::new(
-                &spec.name,
-                spec.schema.clone(),
-                e,
-            )),
-        };
-        let code_bytes = app.code_bytes();
-
-        // Host side: issue MINIT (one syscall + switch into the driver).
-        let init_cost = self.os.command_completion();
-        let init_iv = self.cpu_cores.acquire(
-            SimTime::ZERO,
-            self.cpu
-                .duration(init_cost.instructions, CodeClass::OsKernel),
-        );
-        let mut cpu_busy = init_iv.duration();
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Init {
-            instance_id: iid,
-            code_ptr: 0x4000,
-            code_len: code_bytes,
-            arg: meta.len as u32,
-        }
-        .into_command(cid, 1);
-        // Injected faults: the MINIT may be lost on the wire, or find its
-        // embedded core stalled or crashed before the firmware runs it.
-        let issue =
-            self.issue_with_timeouts(init_iv.end, init_iv.end)
-                .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MINIT lost {attempts} times; reissue budget spent"),
-                })?;
-        let issue = self.inject_core_stall(issue);
-        if let Some(at) = self.inject_core_crash(issue) {
-            return Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MINIT".into(),
-            });
-        }
-        self.round_trip(wire, StatusCode::Success, 0);
-        let ready = self
-            .mssd
-            .minit_keyed(iid, app, issue, memo_key)
-            .map_err(|e| MorpheusAbort::Fatal(e.into()))?;
+        let bar = p2p.then(|| self.map_gpu_bar());
+        let syscall = self.os_wakeup(SimTime::ZERO);
+        let at = self.guard_command("MINIT", syscall.end, iid)?;
+        let mut t = self.morpheus_tenant(spec, iid, at, bar, &mut Wire::Now)?;
+        let ready = t.next_issue();
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
             "minit-syscall",
-            init_iv.start,
-            init_iv.end,
+            syscall.start,
+            syscall.end,
         );
         self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", init_iv.end, ready);
-
-        let bar = if p2p { Some(self.map_gpu_bar()) } else { None };
-        let mut obj_bin: Vec<u8> = Vec::new();
-        let mut last_end = ready;
-        for c in &chunks {
-            let issue = self
-                .issue_with_timeouts(ready, ready)
-                .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MREAD lost {attempts} times; reissue budget spent"),
-                })?;
-            let issue = self.inject_core_stall(issue);
-            if let Some(at) = self.inject_core_crash(issue) {
-                return Err(MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CoreFault,
-                    cause: "embedded core crashed during MREAD".into(),
-                });
-            }
-            let out = match self.mssd.mread(iid, c.slba, c.blocks, c.valid_bytes, issue) {
-                Ok(o) => o,
-                Err(e) if e.status() == StatusCode::MediaUncorrectable => {
-                    return Err(MorpheusAbort::Fallback {
-                        at: issue,
-                        iid,
-                        status: StatusCode::MediaUncorrectable,
-                        cause: morpheus_simcore::render_error_chain(&e),
-                    });
-                }
-                Err(e) => return Err(MorpheusAbort::Fatal(e.into())),
-            };
+            .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", syscall.end, ready);
+        let mut cpu_busy = syscall.duration();
+        let mut text_bytes = 0;
+        while !t.finished_chunks() {
+            let at = self.guard_command("MREAD", ready, iid)?;
+            let s = self
+                .step_tenant(&mut t, at, &mut Wire::Now)
+                .map_err(|e| CmdAbort::triage(e, at, iid))?;
             // MREADs are all queued once the instance is up (async queue
             // depth): the command's lifecycle runs submit → staging done.
             self.tracer.span_bytes(
@@ -765,151 +759,63 @@ impl System {
                 NVME_TRACK,
                 "MREAD",
                 ready,
-                out.done,
-                c.valid_bytes,
+                s.done,
+                s.bytes,
             );
             self.nvme_lat
-                .record(out.done.duration_since(ready).as_nanos());
-            let end = self.deliver_output(&out.output, bar, iid, c.slba, c.blocks)?;
-            if let Some(e) = end {
-                cpu_busy += e.1;
-                last_end = last_end.max(e.0);
-            } else {
-                last_end = last_end.max(out.done);
+                .record(s.done.duration_since(ready).as_nanos());
+            text_bytes += s.bytes;
+            if let Some(w) = s.wakeup {
+                cpu_busy += self.trace_completion(w);
             }
-            obj_bin.extend_from_slice(&out.output);
         }
 
-        // MDEINIT: collect the final output and the return value.
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
-        let issue = self
-            .issue_with_timeouts(last_end, last_end)
-            .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MDEINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let issue = self.inject_core_stall(issue);
-        if let Some(at) = self.inject_core_crash(issue) {
-            return Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MDEINIT".into(),
-            });
-        }
-        let dein = match self.mssd.mdeinit(iid, issue) {
-            Ok(d) => d,
-            Err(e) if e.status() == StatusCode::MediaUncorrectable => {
-                return Err(MorpheusAbort::Fallback {
-                    at: issue,
-                    iid,
-                    status: StatusCode::MediaUncorrectable,
-                    cause: morpheus_simcore::render_error_chain(&e),
-                });
-            }
-            Err(e) => return Err(MorpheusAbort::Fatal(e.into())),
-        };
+        let last_end = t.next_issue();
+        let at = self.guard_command("MDEINIT", last_end, iid)?;
+        let (s, objects) = self
+            .finish_tenant(&mut t, at, &mut Wire::Now)
+            .map_err(|e| CmdAbort::triage(e, at, iid))?;
         self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, dein.done);
-        let (retval, tail, dein_done) = (dein.retval, dein.host_output, dein.done);
-        self.round_trip(wire, StatusCode::Success, retval as u32);
-        let end = self.deliver_output(&tail, bar, iid, 0, 0)?;
-        let deinit_wakeup = {
-            let c = self.os.command_completion();
-            let base = end.map(|e| e.0).unwrap_or(dein_done);
-            let iv = self
-                .cpu_cores
-                .acquire(base, self.cpu.duration(c.instructions, CodeClass::OsKernel));
-            self.tracer.span(
-                TraceLayer::Host,
-                self.cpu_cores.name(),
-                "mdeinit-wakeup",
-                iv.start,
-                iv.end,
-            );
-            cpu_busy += iv.duration();
-            iv.end
-        };
-        obj_bin.extend_from_slice(&tail);
-
-        let objects = ParsedColumns::decode(spec.schema.clone(), &obj_bin)
-            .map_err(|e| MorpheusAbort::Fatal(e.into()))?;
-        debug_assert_eq!(retval as u64 as i64 as i32, objects.records as i32);
+            .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, s.done);
+        let mut wakeup = s.wakeup.expect("MDEINIT always wakes the host");
+        if s.landed.is_some() {
+            // The final objects' completion is one wakeup; the blocked
+            // caller returning from MDEINIT is another.
+            cpu_busy += self.trace_completion(wakeup);
+            wakeup = self.os_wakeup(wakeup.end);
+        }
+        self.tracer.span(
+            TraceLayer::Host,
+            self.cpu_cores.name(),
+            "mdeinit-wakeup",
+            wakeup.start,
+            wakeup.end,
+        );
+        cpu_busy += wakeup.duration();
         let window = DeserWindow {
-            end: deinit_wakeup,
+            end: wakeup.end,
             cpu_busy,
-            text_bytes: meta.len,
+            text_bytes,
             obj_addr: 0x2000,
             fell_back: false,
         };
-        let mode = if p2p {
-            Mode::MorpheusP2P
-        } else {
-            Mode::Morpheus
-        };
-        Ok(self.finish_run(spec, mode, objects, window)?)
+        let objects = Arc::try_unwrap(objects).unwrap_or_else(|shared| (*shared).clone());
+        Ok((objects, window))
     }
 
-    /// DMAs one MREAD's output to its destination (host DRAM or the GPU
-    /// BAR) and takes the per-completion host wakeup. Returns the wakeup's
-    /// (end, cpu-time), or `None` for empty outputs.
-    fn deliver_output(
-        &mut self,
-        output: &[u8],
-        bar: Option<morpheus_pcie::BarWindow>,
-        iid: u32,
-        slba: u64,
-        blocks: u64,
-    ) -> Result<Option<(SimTime, SimDuration)>, RunError> {
-        if output.is_empty() {
-            return Ok(None);
-        }
-        let n = output.len() as u64;
-        let addr = match bar {
-            Some(w) => {
-                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                w.base + buf.offset
-            }
-            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-        };
-        if blocks > 0 {
-            let cid = self.alloc_cid();
-            let wire = MorpheusCommand::Read {
-                instance_id: iid,
-                slba,
-                blocks,
-                dma_addr: addr,
-            }
-            .into_command(cid, 1);
-            self.round_trip(wire, StatusCode::Success, 0);
-        }
-        // The SSD pushes finished objects; time base is the caller's
-        // staging completion, which the fabric sees via its own timelines.
-        let ready = self.mssd.dev.cores().horizon();
-        let dma = self
-            .fabric
-            .dma(self.ssd_dev, DmaDir::Write, addr, n, ready)?;
-        if bar.is_none() {
-            self.membus.transfer(dma.start, n);
-        }
-        let c = self.os.command_completion();
-        let iv = self.cpu_cores.acquire(
-            dma.end,
-            self.cpu.duration(c.instructions, CodeClass::OsKernel),
-        );
+    /// Traces one completion wakeup (the context switch into the driver
+    /// and its service span) and returns its host-core time.
+    fn trace_completion(&mut self, w: Interval) -> SimDuration {
         self.tracer
-            .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
+            .instant(TraceLayer::Host, OS_TRACK, "context-switch", w.start);
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
             "completion",
-            iv.start,
-            iv.end,
+            w.start,
+            w.end,
         );
-        Ok(Some((iv.end, iv.duration())))
+        w.duration()
     }
 
     /// Shared tail: other-CPU phase, copy phase, kernel phase, report.
@@ -1114,16 +1020,6 @@ impl System {
     }
 }
 
-fn work_delta(now: &ParseWork, before: &ParseWork) -> ParseWork {
-    ParseWork {
-        bytes_scanned: now.bytes_scanned - before.bytes_scanned,
-        int_tokens: now.int_tokens - before.int_tokens,
-        int_digits: now.int_digits - before.int_digits,
-        float_tokens: now.float_tokens - before.float_tokens,
-        float_digits: now.float_digits - before.float_digits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,6 +1045,54 @@ mod tests {
     }
 
     use crate::SystemParams;
+
+    /// The one fault guard, per command: a certain crash aborts with
+    /// `CoreFault` at the issue time; certain loss spends the reissue
+    /// budget and aborts with `CommandTimeout` at the last detection,
+    /// `(k+1)·W + (2^k − 1)·B` after the submission.
+    #[test]
+    fn guard_aborts_each_command_with_its_status_and_cause() {
+        let submit = SimTime::from_nanos(1_000_000);
+        let lossy = morpheus_simcore::FaultPlan::parse("timeout=1").unwrap();
+        let k = lossy.nvme_max_retries;
+        let detect = submit
+            + SimDuration::from_nanos(
+                u64::from(k + 1) * lossy.nvme_timeout_ns
+                    + ((1u64 << k) - 1) * lossy.nvme_backoff_ns,
+            );
+        for cmd in ["MINIT", "MREAD", "MDEINIT"] {
+            let cases = [
+                (
+                    "crash=1",
+                    submit,
+                    StatusCode::CoreFault,
+                    format!("embedded core crashed during {cmd}"),
+                ),
+                (
+                    "timeout=1",
+                    detect,
+                    StatusCode::CommandTimeout,
+                    format!("{cmd} lost {} times; reissue budget spent", k + 1),
+                ),
+            ];
+            for (spec, want_at, want_status, want_cause) in cases {
+                let mut sys = test_system();
+                sys.set_fault_plan(morpheus_simcore::FaultPlan::parse(spec).unwrap());
+                sys.reset_timing();
+                let Err(CmdAbort::Fallback {
+                    at,
+                    iid,
+                    status,
+                    cause,
+                }) = sys.guard_command(cmd, submit, 7)
+                else {
+                    panic!("{cmd} under {spec}: expected a fallback");
+                };
+                assert_eq!((at, iid, status), (want_at, 7, want_status), "{cmd} {spec}");
+                assert_eq!(cause, want_cause);
+            }
+        }
+    }
 
     #[test]
     fn conventional_and_morpheus_produce_identical_objects() {

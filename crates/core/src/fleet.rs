@@ -537,16 +537,13 @@ impl Fleet {
     ///
     /// [`RunError::NoTenants`] on an empty app list,
     /// [`RunError::DeviceDown`] when a request finds every device dead,
-    /// plus everything [`System::serve`] can return.
-    ///
-    /// # Panics
-    ///
-    /// Panics on config-bug serve parameters, like [`System::serve`].
+    /// plus everything [`System::serve`] can return (a config outside its
+    /// domain is [`RunError::InvalidServeConfig`], like there).
     pub fn serve(&mut self, apps: &[AppSpec], cfg: &ServeConfig) -> Result<FleetReport, RunError> {
         if apps.is_empty() {
             return Err(RunError::NoTenants);
         }
-        validate_serve_cfg(cfg);
+        validate_serve_cfg(cfg)?;
         let n = self.devices.len();
         let plan = self.plan(SimTime::ZERO + SimDuration::from_secs_f64(cfg.duration_s));
         let placement = self.place(&plan, apps);

@@ -14,12 +14,11 @@
 //! byte-identical across repeats and across bench `--jobs` values.
 
 use crate::cache::{self, CacheEvent, CacheHit, CacheStats, CacheTier};
-use crate::concurrent::TenantState;
-use crate::exec::{AppSpec, RunError};
+use crate::concurrent::{Wire, WireCmd};
+use crate::exec::{AppSpec, CmdAbort, RunError};
 use crate::report::{mb_per_sec, Mode};
-use crate::{DeserializeApp, StorageApp, StorageKind, System};
+use crate::{StorageKind, System};
 use morpheus_format::ParsedColumns;
-use morpheus_host::CodeClass;
 use morpheus_nvme::{AdminController, MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
@@ -269,25 +268,28 @@ pub(crate) fn offered_requests(cfg: &ServeConfig, napps: usize) -> Vec<Request> 
     reqs
 }
 
-/// Panics on config-bug serve parameters (shared by the solo and fleet
-/// entry points so both reject the same inputs the same way).
-pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) {
-    assert!(cfg.rps.is_finite() && cfg.rps > 0.0, "rps must be positive");
-    assert!(
-        cfg.duration_s.is_finite() && cfg.duration_s > 0.0,
-        "duration must be positive"
-    );
-    assert!(cfg.depth >= 1, "admission depth must be at least 1");
-    assert!(cfg.batch_max >= 1, "batch size must be at least 1");
-    assert!(
-        cfg.skew.is_finite() && cfg.skew >= 0.0,
-        "skew must be finite and non-negative"
-    );
+/// Rejects serve parameters outside their domain with a typed
+/// [`RunError::InvalidServeConfig`] (shared by the solo and fleet entry
+/// points so both reject the same inputs the same way).
+pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) -> Result<(), RunError> {
+    let rules = [
+        (cfg.rps.is_finite() && cfg.rps > 0.0, "rps must be positive"),
+        (
+            cfg.duration_s.is_finite() && cfg.duration_s > 0.0,
+            "duration must be positive",
+        ),
+        (cfg.depth >= 1, "admission depth must be at least 1"),
+        (cfg.batch_max >= 1, "batch size must be at least 1"),
+        (
+            cfg.skew.is_finite() && cfg.skew >= 0.0,
+            "skew must be finite and non-negative",
+        ),
+    ];
+    match rules.iter().find(|(ok, _)| !ok) {
+        Some(&(_, why)) => Err(RunError::InvalidServeConfig(why)),
+        None => Ok(()),
+    }
 }
-
-/// A command plus the completion the device will post for it, staged per
-/// batch and then pumped through the tenant's queue pair.
-type WireCmd = (NvmeCommand, StatusCode, u32);
 
 /// Mutable run state threaded through the dispatcher.
 struct ServeState {
@@ -343,37 +345,13 @@ struct ServeCtx<'a> {
     admin: AdminController,
     /// Per-app format digests (part of the cache key), computed once.
     digests: Vec<u64>,
-    /// Per-app deserializer code sizes for MINIT, computed once — the
-    /// dispatch loop must not rebuild a `DeserializeApp` (name string +
-    /// schema clone) per request just to read this.
-    code_lens: Vec<u32>,
 }
 
 /// One tenant's spec plus its precomputed format digest (the cache key
-/// half that doesn't depend on the request) and MINIT code size.
+/// half that doesn't depend on the request).
 struct Tenant<'a> {
     spec: &'a AppSpec,
     digest: u64,
-    code_len: u32,
-}
-
-/// Why a Morpheus-path request was abandoned mid-service.
-enum ServeAbort {
-    /// Unrecoverable: surface to the caller.
-    Fatal(RunError),
-    /// Recoverable by re-dispatching the request to the host path.
-    Redispatch {
-        at: SimTime,
-        iid: u32,
-        status: StatusCode,
-        cause: String,
-    },
-}
-
-impl From<RunError> for ServeAbort {
-    fn from(e: RunError) -> Self {
-        ServeAbort::Fatal(e)
-    }
 }
 
 impl System {
@@ -387,20 +365,22 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Fails on an empty app list ([`RunError::NoTenants`]), unknown
-    /// files, parse failures, or fatal firmware errors. Injected faults do
-    /// not fail the run: Morpheus requests re-dispatch to the host path,
-    /// and host-path timeouts count the request as failed.
+    /// Fails on an empty app list ([`RunError::NoTenants`]), a config
+    /// outside its domain ([`RunError::InvalidServeConfig`]: non-positive
+    /// or non-finite rate or duration, zero depth or batch, negative or
+    /// non-finite skew), unknown files, parse failures, or fatal firmware
+    /// errors. Injected faults do not fail the run: Morpheus requests
+    /// re-dispatch to the host path, and host-path timeouts count the
+    /// request as failed.
     ///
     /// # Panics
     ///
-    /// Panics on a non-NVMe storage configuration or a non-positive rate,
-    /// duration, depth, or batch size (config bugs, not run outcomes).
+    /// Panics on a non-NVMe storage configuration.
     pub fn serve(&mut self, apps: &[AppSpec], cfg: &ServeConfig) -> Result<ServeReport, RunError> {
         if apps.is_empty() {
             return Err(RunError::NoTenants);
         }
-        validate_serve_cfg(cfg);
+        validate_serve_cfg(cfg)?;
         let reqs = offered_requests(cfg, apps.len());
         self.serve_requests(apps, cfg, reqs)
     }
@@ -479,17 +459,12 @@ impl System {
         // report subtracts this snapshot.
         let cache_base = self.object_cache.as_ref().map(|c| c.stats());
         let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
-        let code_lens: Vec<u32> = apps
-            .iter()
-            .map(|a| DeserializeApp::new(&a.name, a.schema.clone()).code_bytes())
-            .collect();
         let mut ctx = ServeCtx {
             cfg,
             apps,
             bar,
             admin,
             digests,
-            code_lens,
         };
 
         for r in reqs {
@@ -528,7 +503,13 @@ impl System {
                         );
                         let mut wire = std::mem::take(&mut st.wire_scratch);
                         wire.clear();
-                        self.host_service(&mut st, &ctx.apps[r.app], r, r.arrival, &mut wire)?;
+                        self.host_service(
+                            &mut st,
+                            &ctx.apps[r.app],
+                            r,
+                            r.arrival,
+                            &mut Wire::Batch(&mut wire),
+                        )?;
                         self.pump_wire(&mut st, &mut ctx, r.app, &wire, r.arrival);
                         st.wire_scratch = wire;
                     }
@@ -670,8 +651,9 @@ impl System {
             s.count("batches", at);
         }
         let spec = &ctx.apps[app];
-        let mut wire = std::mem::take(&mut st.wire_scratch);
-        wire.clear();
+        let mut burst = std::mem::take(&mut st.wire_scratch);
+        burst.clear();
+        let mut wire = Wire::Batch(&mut burst);
         let mut start = at;
         let mut outcome = Ok(());
         for r in batch {
@@ -681,7 +663,6 @@ impl System {
                     let tenant = Tenant {
                         spec,
                         digest: ctx.digests[app],
-                        code_len: ctx.code_lens[app],
                     };
                     self.morpheus_service(st, &tenant, *r, start, ctx.bar, &mut wire)
                 }
@@ -696,9 +677,9 @@ impl System {
         }
         if outcome.is_ok() {
             st.next_free[app] = start;
-            self.pump_wire(st, ctx, app, &wire, at);
+            self.pump_wire(st, ctx, app, &burst, at);
         }
-        st.wire_scratch = wire;
+        st.wire_scratch = burst;
         outcome
     }
 
@@ -711,7 +692,7 @@ impl System {
         spec: &AppSpec,
         r: Request,
         start: SimTime,
-        wire: &mut Vec<WireCmd>,
+        wire: &mut Wire<'_>,
     ) -> Result<SimTime, RunError> {
         // One command-loss roll per request; this path has nothing deeper
         // to fall back to, so an exhausted budget is a clean per-request
@@ -733,24 +714,10 @@ impl System {
         let dram_before = self.dram.allocated();
         let mut t = self.conventional_tenant(spec, floor)?;
         while !t.finished_chunks() {
-            if let TenantState::Conventional {
-                chunks,
-                next,
-                buf_addr,
-                ..
-            } = &t
-            {
-                let c = chunks[*next];
-                let cid = self.alloc_cid();
-                wire.push((
-                    NvmeCommand::read(cid, 1, c.slba, c.blocks, *buf_addr),
-                    StatusCode::Success,
-                    0,
-                ));
-            }
-            self.step_tenant(&mut t)?;
+            self.step_tenant(&mut t, floor, wire)?;
         }
-        let (_name, _mode, end, objects) = self.finish_tenant(&mut t)?;
+        let (step, objects) = self.finish_tenant(&mut t, floor, wire)?;
+        let end = step.end();
         // Serving is steady-state: the request's buffers are returned once
         // its objects are handed to the application.
         let freed = self.dram.allocated().saturating_sub(dram_before);
@@ -778,7 +745,7 @@ impl System {
         r: Request,
         start: SimTime,
         bar: Option<BarWindow>,
-        wire: &mut Vec<WireCmd>,
+        wire: &mut Wire<'_>,
     ) -> Result<SimTime, RunError> {
         let (spec, digest) = (tenant.spec, tenant.digest);
         if let Some(c) = self.object_cache.as_mut() {
@@ -812,7 +779,7 @@ impl System {
             }
         }
         let dram_before = self.dram.allocated();
-        match self.try_morpheus_service(spec, r.app, tenant.code_len, start, bar, wire) {
+        match self.try_morpheus_service(spec, r.app, start, bar, wire) {
             Ok((end, objects)) => {
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
@@ -823,29 +790,11 @@ impl System {
                 }
                 Ok(end)
             }
-            Err(ServeAbort::Fatal(e)) => Err(e),
-            Err(ServeAbort::Redispatch {
-                at,
-                iid,
-                status,
-                cause,
-            }) => {
+            Err(abort) => {
+                let at = self.reap_aborted(abort, SERVE_TRACK, wire)?;
                 st.rep.fault_redispatches += 1;
                 if let Some(s) = st.sampler.as_mut() {
                     s.count("fault_redispatches", at);
-                }
-                self.mssd.abort_instance(iid);
-                let cid = self.alloc_cid();
-                wire.push((
-                    MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
-                    status,
-                    0,
-                ));
-                self.tracer
-                    .instant(TraceLayer::Host, SERVE_TRACK, "host-fallback", at);
-                if let Some(fi) = self.faults.as_mut() {
-                    fi.counters.host_fallbacks += 1;
-                    fi.fallback_cause = Some(cause);
                 }
                 // Return any partial output the aborted stream delivered.
                 let freed = self.dram.allocated().saturating_sub(dram_before);
@@ -858,162 +807,37 @@ impl System {
         }
     }
 
-    /// The drive-side service of one request: MINIT → MREAD per chunk →
-    /// MDEINIT, with the same three fault-injection points as the solo
-    /// driver around every command.
+    /// The drive-side service of one request on the shared tenant driver.
+    /// Serve's policy: app `k`'s instances pin to core `k % n`; the MINIT
+    /// guard runs before its syscall; a stall carries forward to every
+    /// later MREAD of the request; commands join the batch's wire burst.
     fn try_morpheus_service(
         &mut self,
         spec: &AppSpec,
         app: usize,
-        code_len: u32,
         start: SimTime,
         bar: Option<BarWindow>,
-        wire: &mut Vec<WireCmd>,
-    ) -> Result<(SimTime, Arc<ParsedColumns>), ServeAbort> {
+        wire: &mut Wire<'_>,
+    ) -> Result<(SimTime, Arc<ParsedColumns>), CmdAbort> {
         let ncores = self.mssd.dev.cores().cores();
         // Stable affinity: app k's instances always pin to core k % n, so
         // a tenant's requests queue behind each other, not behind
         // strangers.
         let iid = self.alloc_instance_pinned(app % ncores, ncores);
-        let file_len = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| ServeAbort::Fatal(RunError::UnknownFile(spec.input.clone())))?
-            .len;
-
-        // MINIT may be lost on the wire or find its core stalled/crashed.
-        let floor = self
-            .issue_with_timeouts(start, start)
-            .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let floor = self.inject_core_stall(floor);
-        if let Some(at) = self.inject_core_crash(floor) {
-            return Err(ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MINIT".into(),
-            });
-        }
-        let cid = self.alloc_cid();
-        wire.push((
-            MorpheusCommand::Init {
-                instance_id: iid,
-                code_ptr: 0x4000,
-                code_len,
-                arg: file_len as u32,
-            }
-            .into_command(cid, 1),
-            StatusCode::Success,
-            0,
-        ));
-        let mut t = self
-            .morpheus_tenant(spec, iid, floor, bar)
-            .map_err(ServeAbort::Fatal)?;
-
+        let at = self.guard_command("MINIT", start, iid)?;
+        let syscall = self.os_wakeup(at);
+        let mut t = self.morpheus_tenant(spec, iid, syscall.end, bar, wire)?;
+        let mut ready = t.next_issue();
         while !t.finished_chunks() {
-            let (ready0, c) = match &t {
-                TenantState::Morpheus {
-                    ready,
-                    chunks,
-                    next,
-                    ..
-                } => (*ready, chunks[*next]),
-                TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
-            };
-            let floor = self
-                .issue_with_timeouts(ready0, ready0)
-                .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MREAD lost {attempts} times; reissue budget spent"),
-                })?;
-            let floor = self.inject_core_stall(floor);
-            if let Some(at) = self.inject_core_crash(floor) {
-                return Err(ServeAbort::Redispatch {
-                    at,
-                    iid,
-                    status: StatusCode::CoreFault,
-                    cause: "embedded core crashed during MREAD".into(),
-                });
-            }
-            if let TenantState::Morpheus { ready, .. } = &mut t {
-                *ready = floor;
-            }
-            let cid = self.alloc_cid();
-            wire.push((
-                MorpheusCommand::Read {
-                    instance_id: iid,
-                    slba: c.slba,
-                    blocks: c.blocks,
-                    dma_addr: 0x2000,
-                }
-                .into_command(cid, 1),
-                StatusCode::Success,
-                0,
-            ));
-            match self.step_tenant(&mut t) {
-                Ok(()) => {}
-                Err(RunError::Morpheus(e)) if e.status() == StatusCode::MediaUncorrectable => {
-                    return Err(ServeAbort::Redispatch {
-                        at: floor,
-                        iid,
-                        status: StatusCode::MediaUncorrectable,
-                        cause: morpheus_simcore::render_error_chain(&e),
-                    });
-                }
-                Err(e) => return Err(ServeAbort::Fatal(e)),
-            }
+            ready = self.guard_command("MREAD", ready, iid)?;
+            self.step_tenant(&mut t, ready, wire)
+                .map_err(|e| CmdAbort::triage(e, ready, iid))?;
         }
-
-        let last0 = match &t {
-            TenantState::Morpheus { last_end, .. } => *last_end,
-            TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
-        };
-        let floor = self
-            .issue_with_timeouts(last0, last0)
-            .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MDEINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let floor = self.inject_core_stall(floor);
-        if let Some(at) = self.inject_core_crash(floor) {
-            return Err(ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MDEINIT".into(),
-            });
-        }
-        if let TenantState::Morpheus { last_end, .. } = &mut t {
-            *last_end = floor;
-        }
-        let (_name, _mode, end, objects) = match self.finish_tenant(&mut t) {
-            Ok(v) => v,
-            Err(RunError::Morpheus(e)) if e.status() == StatusCode::MediaUncorrectable => {
-                return Err(ServeAbort::Redispatch {
-                    at: floor,
-                    iid,
-                    status: StatusCode::MediaUncorrectable,
-                    cause: morpheus_simcore::render_error_chain(&e),
-                });
-            }
-            Err(e) => return Err(ServeAbort::Fatal(e)),
-        };
-        let cid = self.alloc_cid();
-        wire.push((
-            MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
-            StatusCode::Success,
-            objects.records as u32,
-        ));
-        Ok((end, objects))
+        let at = self.guard_command("MDEINIT", t.next_issue(), iid)?;
+        let (step, objects) = self
+            .finish_tenant(&mut t, at, wire)
+            .map_err(|e| CmdAbort::triage(e, at, iid))?;
+        Ok((step.end(), objects))
     }
 
     /// Books one completed request: counters, latency histograms, trace,
@@ -1079,39 +903,23 @@ impl System {
         bar: Option<BarWindow>,
     ) -> Result<SimTime, RunError> {
         let n = hit.bytes;
-        let addr = match bar {
-            Some(w) => {
-                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                w.base + buf.offset
-            }
-            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-        };
         let done = match hit.tier {
-            CacheTier::Dram => {
-                let dma = self
-                    .fabric
-                    .dma(self.ssd_dev, DmaDir::Write, addr, n, start)?;
-                if bar.is_none() {
-                    self.membus.transfer(dma.start, n);
+            CacheTier::Dram => self.land(n, bar, start)?.end,
+            CacheTier::Host => {
+                self.land_buffer(n, bar)?;
+                match bar {
+                    // The GPU pulls the object out of host memory (address
+                    // 0 routes to host DRAM, where the spill tier lives).
+                    Some(_) => {
+                        self.fabric
+                            .dma(self.gpu_dev, DmaDir::Read, 0, n, start)?
+                            .end
+                    }
+                    None => self.membus.transfer(start, n).end,
                 }
-                dma.end
             }
-            CacheTier::Host => match bar {
-                // The GPU pulls the object out of host memory (address 0
-                // routes to host DRAM, where the spill tier lives).
-                Some(_) => {
-                    self.fabric
-                        .dma(self.gpu_dev, DmaDir::Read, 0, n, start)?
-                        .end
-                }
-                None => self.membus.transfer(start, n).end,
-            },
         };
-        let c = self.os.command_completion();
-        let iv = self
-            .cpu_cores
-            .acquire(done, self.cpu.duration(c.instructions, CodeClass::OsKernel));
-        Ok(iv.end)
+        Ok(self.os_wakeup(done).end)
     }
 
     /// Drains the cache's state-change log into `cache`-track trace
@@ -1246,6 +1054,60 @@ mod tests {
             sys.serve(&[], &ServeConfig::new(100.0, 0.01)),
             Err(RunError::NoTenants)
         ));
+    }
+
+    /// Every config outside the serve domain is a typed error, the same
+    /// one from the solo and the fleet entry point, and never a panic.
+    #[test]
+    fn invalid_serve_configs_are_typed_errors_at_both_entry_points() {
+        let (mut sys, specs) = serving_system(1, 10);
+        let mut fleet =
+            crate::Fleet::new(SystemParams::paper_testbed(), crate::FleetConfig::new(2));
+        type Breaks = fn(&mut ServeConfig);
+        let cases: [(&str, Breaks, &str); 7] = [
+            ("rps 0", |c| c.rps = 0.0, "rps must be positive"),
+            ("rps NaN", |c| c.rps = f64::NAN, "rps must be positive"),
+            (
+                "duration 0",
+                |c| c.duration_s = 0.0,
+                "duration must be positive",
+            ),
+            (
+                "depth 0",
+                |c| c.depth = 0,
+                "admission depth must be at least 1",
+            ),
+            (
+                "batch 0",
+                |c| c.batch_max = 0,
+                "batch size must be at least 1",
+            ),
+            (
+                "skew -1",
+                |c| c.skew = -1.0,
+                "skew must be finite and non-negative",
+            ),
+            (
+                "skew NaN",
+                |c| c.skew = f64::NAN,
+                "skew must be finite and non-negative",
+            ),
+        ];
+        for (name, breaks, want) in cases {
+            let mut cfg = ServeConfig::new(100.0, 0.01);
+            breaks(&mut cfg);
+            for (entry, got) in [
+                ("System::serve", sys.serve(&specs, &cfg).map(|_| ())),
+                ("Fleet::serve", fleet.serve(&specs, &cfg).map(|_| ())),
+            ] {
+                match got {
+                    Err(RunError::InvalidServeConfig(why)) => assert_eq!(why, want, "{name}"),
+                    other => {
+                        panic!("{entry} with {name}: expected InvalidServeConfig, got {other:?}")
+                    }
+                }
+            }
+        }
     }
 
     #[test]

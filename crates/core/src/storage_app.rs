@@ -264,14 +264,7 @@ impl DeserializeApp {
 
     fn charge_delta(&mut self, ctx: &mut DeviceCtx) {
         let w = self.parser.as_ref().expect("instance still live").work();
-        let delta = ParseWork {
-            bytes_scanned: w.bytes_scanned - self.last_work.bytes_scanned,
-            int_tokens: w.int_tokens - self.last_work.int_tokens,
-            int_digits: w.int_digits - self.last_work.int_digits,
-            float_tokens: w.float_tokens - self.last_work.float_tokens,
-            float_digits: w.float_digits - self.last_work.float_digits,
-        };
-        ctx.charge_work(&delta);
+        ctx.charge_work(&(w - self.last_work));
         self.last_work = w;
     }
 }

@@ -43,6 +43,30 @@ impl ParseWork {
     }
 }
 
+/// The work done between two snapshots of one parser's running total
+/// (`now - before`). Destructures every field so a new one cannot be
+/// left out of the delta.
+impl std::ops::Sub for ParseWork {
+    type Output = ParseWork;
+
+    fn sub(self, before: ParseWork) -> ParseWork {
+        let ParseWork {
+            bytes_scanned,
+            int_tokens,
+            int_digits,
+            float_tokens,
+            float_digits,
+        } = before;
+        ParseWork {
+            bytes_scanned: self.bytes_scanned - bytes_scanned,
+            int_tokens: self.int_tokens - int_tokens,
+            int_digits: self.int_digits - int_digits,
+            float_tokens: self.float_tokens - float_tokens,
+            float_digits: self.float_digits - float_digits,
+        }
+    }
+}
+
 /// Prices [`ParseWork`] in instructions for one execution platform.
 ///
 /// Split into integer-path and float-path instruction counts because the

@@ -3,7 +3,7 @@
 //! fails cleanly with a typed error — and the same plan always injects the
 //! same faults at the same simulated times.
 
-use morpheus::{AppSpec, Mode, RunError, System, SystemParams};
+use morpheus::{AppSpec, Mode, RunError, ServeConfig, ServePolicy, System, SystemParams};
 use morpheus_format::{FieldKind, Schema, TextWriter};
 use morpheus_simcore::{FaultPlan, TraceEventKind, TraceLayer, Tracer};
 use proptest::prelude::*;
@@ -62,6 +62,23 @@ fn core_crash_falls_back_to_bit_identical_objects() {
     };
     assert!(instant("core-crash"), "crash must be traced");
     assert!(instant("host-fallback"), "fallback must be traced");
+}
+
+/// Solo and serve share one fault guard: under a certain crash both
+/// degrade at MINIT and report the same rendered cause.
+#[test]
+fn serve_and_solo_fall_back_with_the_same_cause() {
+    let (mut sys, spec) = staged_system(400);
+    sys.set_fault_plan(FaultPlan::parse("seed=7,crash=1").unwrap());
+    sys.run(&spec, Mode::Morpheus).unwrap();
+    let solo = sys.last_fallback_cause().map(str::to_owned);
+    assert_eq!(solo.as_deref(), Some("embedded core crashed during MINIT"));
+
+    let mut cfg = ServeConfig::new(2000.0, 0.01);
+    cfg.policy = ServePolicy::HostFallback;
+    let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
+    assert!(rep.fault_redispatches > 0, "every served request crashes");
+    assert_eq!(sys.last_fallback_cause(), solo.as_deref());
 }
 
 /// Guaranteed command loss exhausts the reissue budget on the conventional
