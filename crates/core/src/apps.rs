@@ -34,15 +34,8 @@ impl BinaryDeserializeApp {
     fn emit_and_charge(&mut self, ctx: &mut DeviceCtx) {
         let parser = self.parser.as_ref().expect("instance still live");
         let total = parser.records();
-        if total > self.emitted_records {
-            let mut buf = Vec::new();
-            let mut cols = parser.peek().clone();
-            cols.canonicalize();
-            cols.encode_rows(self.emitted_records, total, &mut buf);
-            ctx.charge_instructions(buf.len() as f64);
-            ctx.ms_memcpy(&buf);
-            self.emitted_records = total;
-        }
+        ctx.emit_rows(parser.peek(), self.emitted_records, total);
+        self.emitted_records = total;
         let w = parser.work();
         ctx.charge_work(&(w - self.last_work));
         self.last_work = w;

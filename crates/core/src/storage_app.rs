@@ -15,7 +15,7 @@
 //! by flushing output early), and all host communication goes through the
 //! staged output buffer — a StorageApp cannot touch host memory directly.
 
-use morpheus_format::{ParseError, ParseWork, Schema, StreamingParser};
+use morpheus_format::{ParseError, ParseWork, ParsedColumns, Schema, StreamingParser};
 use std::error::Error;
 use std::fmt;
 
@@ -106,6 +106,22 @@ impl DeviceCtx {
     /// (host DRAM or GPU memory — the runtime binds the target address).
     pub fn ms_memcpy(&mut self, bytes: &[u8]) {
         self.staged.extend_from_slice(bytes);
+        self.spill_if_half_full();
+    }
+
+    /// `ms_memcpy`s records `[from, to)` of `cols` as binary objects at
+    /// their declared field widths, charging ~1 instruction per emitted
+    /// byte (the stores). Only the requested rows are touched, so a
+    /// StorageApp that emits each page's new records costs time linear in
+    /// its output.
+    pub(crate) fn emit_rows(&mut self, cols: &ParsedColumns, from: u64, to: u64) {
+        let before = self.staged.len();
+        cols.encode_rows(from, to, &mut self.staged);
+        self.charge_instructions((self.staged.len() - before) as f64);
+        self.spill_if_half_full();
+    }
+
+    fn spill_if_half_full(&mut self) {
         if self.staged.len() as u64 > self.dsram_bytes as u64 / 2 {
             self.flushed.append(&mut self.staged);
             self.flushes += 1;
@@ -250,16 +266,8 @@ impl DeserializeApp {
     fn emit_new_records(&mut self, ctx: &mut DeviceCtx) {
         let parser = self.parser.as_ref().expect("instance still live");
         let total = parser.records();
-        if total > self.emitted_records {
-            let mut buf = Vec::new();
-            let mut cols = parser.peek().clone();
-            cols.canonicalize();
-            cols.encode_rows(self.emitted_records, total, &mut buf);
-            ctx.ms_memcpy(&buf);
-            // Emitting binary costs ~1 instruction per byte (stores).
-            ctx.charge_instructions(buf.len() as f64);
-            self.emitted_records = total;
-        }
+        ctx.emit_rows(parser.peek(), self.emitted_records, total);
+        self.emitted_records = total;
     }
 
     fn charge_delta(&mut self, ctx: &mut DeviceCtx) {
@@ -284,18 +292,10 @@ impl StorageApp for DeserializeApp {
     }
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        self.emit_new_records(ctx);
         let parser = self.parser.take().expect("on_finish called twice");
         // The final carry may hold one last unterminated token.
-        let before = self.emitted_records;
-        let mut cols = parser.finish()?;
-        cols.canonicalize();
-        if cols.records > before {
-            let mut buf = Vec::new();
-            cols.encode_rows(before, cols.records, &mut buf);
-            ctx.ms_memcpy(&buf);
-            ctx.charge_instructions(buf.len() as f64);
-        }
+        let cols = parser.finish()?;
+        ctx.emit_rows(&cols, self.emitted_records, cols.records);
         Ok(cols.records as i32)
     }
 }

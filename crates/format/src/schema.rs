@@ -180,8 +180,12 @@ impl ParsedColumns {
     /// Narrows every value to its declared field width (u32 truncation,
     /// f32 rounding, ...), exactly what storing into a typed C array does.
     ///
-    /// Both execution paths apply this, so the conventional host parse and
-    /// the Morpheus binary-object path produce bit-identical objects.
+    /// The conventional host path applies this to the objects it parses.
+    /// The Morpheus device emit path does not: it relies on the same
+    /// narrowing inside [`encode_rows`], so both paths still produce
+    /// bit-identical objects.
+    ///
+    /// [`encode_rows`]: ParsedColumns::encode_rows
     pub fn canonicalize(&mut self) {
         for (kind, col) in self.schema.fields().iter().zip(self.columns.iter_mut()) {
             match (col, kind) {
@@ -213,6 +217,14 @@ impl ParsedColumns {
     /// Encodes records `[from, to)` into little-endian binary at the
     /// declared field widths (the representation StorageApps DMA to the
     /// host instead of text).
+    ///
+    /// Each value is narrowed to its field width as it is written, with
+    /// the same casts as [`canonicalize`]; narrowing twice changes nothing,
+    /// so encoding unnarrowed columns gives the same bytes as
+    /// canonicalizing first. StorageApps rely on this to encode only each
+    /// page's new rows straight from the parser, without a canonical copy.
+    ///
+    /// [`canonicalize`]: ParsedColumns::canonicalize
     ///
     /// # Panics
     ///
