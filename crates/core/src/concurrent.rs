@@ -10,26 +10,32 @@
 //! and reports per-tenant and aggregate throughput.
 //!
 //! The per-tenant state machine ([`TenantState`]) is the one driver of the
-//! Morpheus command lifecycle, MINIT → MREAD* → MDEINIT, and of the
-//! conventional read+parse loop the serving plane's host path runs. It
-//! serves three callers: this round-robin run, the solo run
-//! ([`System::run`] in Morpheus modes), and the open-loop serving layer
-//! (`serve.rs`), which steps one request at a time. The driver owns the
-//! mechanism — device commands, object landing, completion wakeups,
-//! object assembly; each caller keeps only its policy: the instance id,
-//! when each command issues (and so where the fault guard sits), how
-//! commands reach the device ([`Wire`]), and its own trace spans.
+//! Morpheus command lifecycle, MINIT → MREAD* → MDEINIT, and of the host
+//! `read()`+parse loop of Fig. 1. The Morpheus lifecycle serves three
+//! callers: this round-robin run, the solo run ([`System::run`] in
+//! Morpheus modes), and the open-loop serving layer (`serve.rs`), which
+//! steps one request at a time. The host loop serves four: the solo
+//! conventional run, the solo Morpheus run's fallback, this round-robin
+//! run, and the serving plane's host path (conventional mode, overflow,
+//! fault re-dispatch). The driver owns the mechanism — device commands,
+//! the storage-kind switch, the text or binary parser and its memo,
+//! object landing, completion wakeups, object assembly; each caller keeps
+//! only its policy: the instance id, when each command issues (and so
+//! where the fault guard sits), how commands reach the device ([`Wire`]),
+//! and its own trace spans.
 
-use crate::deser_memo::{self, MemoKey};
+use crate::deser_memo::{self, HostReplay, MemoKey};
 use crate::exec::{AppSpec, InputFormat, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::ChunkIo;
 use crate::{BinaryDeserializeApp, DeserializeApp, StorageApp, StorageKind, System};
-use morpheus_format::{ParseWork, ParsedColumns, StreamingParser};
+use morpheus_format::{
+    BinaryStreamParser, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
+};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir, DmaOutcome};
-use morpheus_simcore::{Interval, SimTime};
+use morpheus_simcore::{Interval, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// One tenant's outcome.
@@ -79,7 +85,7 @@ pub(crate) enum Wire<'a> {
 /// spans and CPU accounting.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Step {
-    /// Input bytes the command covered (zero for MDEINIT).
+    /// Input bytes the command covered (zero for a finish).
     pub(crate) bytes: u64,
     /// When the device finished the command (conventional: when the
     /// chunk landed in the host buffer; finish: when parsing ended).
@@ -98,17 +104,64 @@ impl Step {
     }
 }
 
+/// Host-side parser dispatch over the input encoding.
+pub(crate) enum HostParser {
+    Text(StreamingParser),
+    Binary(BinaryStreamParser),
+}
+
+impl HostParser {
+    fn new(schema: &Schema, format: InputFormat) -> HostParser {
+        match format {
+            InputFormat::Text => HostParser::Text(StreamingParser::new(schema.clone())),
+            InputFormat::Binary(e) => {
+                HostParser::Binary(BinaryStreamParser::new(schema.clone(), e))
+            }
+        }
+    }
+
+    fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
+        match self {
+            HostParser::Text(p) => p.feed(chunk),
+            HostParser::Binary(p) => p.feed(chunk),
+        }
+    }
+
+    fn work(&self) -> ParseWork {
+        match self {
+            HostParser::Text(p) => p.work(),
+            HostParser::Binary(p) => p.work(),
+        }
+    }
+
+    fn finish(self) -> Result<ParsedColumns, ParseError> {
+        match self {
+            HostParser::Text(p) => p.finish(),
+            HostParser::Binary(p) => p.finish(),
+        }
+    }
+}
+
 /// Per-tenant progress state, stepped one command at a time. Built via
 /// [`System::conventional_tenant`] / [`System::morpheus_tenant`] and driven
 /// with [`System::step_tenant`] / [`System::finish_tenant`].
 pub(crate) enum TenantState {
     /// Host-side `read()`+parse tenant.
     Conventional {
-        spec: AppSpec,
         chunks: Vec<ChunkIo>,
         next: usize,
-        parser: StreamingParser,
+        /// The live parser; `None` while a memo recording replays.
+        parser: Option<HostParser>,
         last_work: ParseWork,
+        /// Host memo key (fault-free runs only), under which a live parse
+        /// publishes its per-chunk work and objects for later reuse.
+        memo_key: Option<MemoKey>,
+        /// A recording of an identical earlier parse. When present the
+        /// parser never runs; every timed step (I/O, OS cost, core
+        /// grants, bus) still runs live.
+        replay: Option<Arc<HostReplay>>,
+        /// Per-chunk work deltas of a live parse, kept for the memo.
+        recorded: Vec<ParseWork>,
         buf_addr: u64,
         /// No I/O is issued before this time (the dispatch instant).
         start: SimTime,
@@ -229,7 +282,8 @@ impl System {
     }
 
     /// Builds a conventional tenant whose first I/O happens no earlier
-    /// than `start`.
+    /// than `start`. On a fault-free run it looks up the host memo: a
+    /// recording of an identical parse replays instead of the parser.
     pub(crate) fn conventional_tenant(
         &mut self,
         spec: &AppSpec,
@@ -241,6 +295,16 @@ impl System {
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
             .clone();
         let chunks = Self::file_chunks(&meta, self.params.conventional_chunk_bytes);
+        let memo_key = self.host_memo_key(spec, &chunks);
+        let replay = memo_key.and_then(deser_memo::host_get);
+        if let Some(r) = &replay {
+            assert_eq!(
+                r.per_chunk.len(),
+                chunks.len(),
+                "deser-memo chunk-count mismatch (key collision?)"
+            );
+        }
+        // Buffer X of Fig. 1(b): the raw-input landing buffer.
         let buf_addr = self
             .dram
             .alloc(self.params.conventional_chunk_bytes)
@@ -248,12 +312,16 @@ impl System {
         Ok(TenantState::Conventional {
             chunks,
             next: 0,
-            parser: StreamingParser::new(spec.schema.clone()),
+            parser: replay
+                .is_none()
+                .then(|| HostParser::new(&spec.schema, spec.input_format)),
             last_work: ParseWork::default(),
+            memo_key,
+            replay,
+            recorded: Vec::new(),
             buf_addr,
             start,
             cpu_ready: start,
-            spec: spec.clone(),
         })
     }
 
@@ -321,7 +389,8 @@ impl System {
     /// memory bus, flash channels, embedded cores, and PCIe links all
     /// contend exactly as the shared timelines dictate. Only
     /// [`Mode::Conventional`] and [`Mode::Morpheus`] tenants are supported
-    /// (P2P is a single-accelerator concept), and only text inputs.
+    /// (P2P is a single-accelerator concept). Conventional tenants read
+    /// from the configured storage device, as a solo run does.
     ///
     /// # Errors
     ///
@@ -335,10 +404,6 @@ impl System {
             return Err(RunError::NoTenants);
         }
         self.reset_timing();
-        assert!(
-            self.params.storage == StorageKind::NvmeSsd,
-            "concurrent runs model the NVMe path"
-        );
         let mut states = Vec::with_capacity(tenants.len());
         for (spec, mode) in tenants {
             let state = match mode {
@@ -410,29 +475,68 @@ impl System {
                 next,
                 parser,
                 last_work,
+                memo_key,
+                replay,
+                recorded,
                 buf_addr,
                 cpu_ready,
                 ..
             } => {
-                let c = chunks[*next];
+                let (ci, c, buf) = (*next, chunks[*next], *buf_addr);
                 *next += 1;
-                let buf = *buf_addr;
-                self.send(
-                    wire,
-                    |cid| NvmeCommand::read(cid, 1, c.slba, c.blocks, buf),
-                    StatusCode::Success,
-                    0,
-                );
-                let (data, t_ssd) = self.mssd.dev.read_range(c.slba, c.blocks, at)?;
-                let dma =
-                    self.fabric
-                        .dma(self.ssd_dev, DmaDir::Write, buf, c.valid_bytes, t_ssd)?;
-                let mb = self.membus.transfer(dma.start, c.valid_bytes);
-                let io_done = dma.end.max(mb.end);
-                parser.feed(&data[..c.valid_bytes as usize])?;
-                let w = parser.work();
-                let dw = w - *last_work;
-                *last_work = w;
+                // The chunk lands in the host buffer from the configured
+                // storage device; only the NVMe drive sees a command.
+                let (data, io_done) = match self.params.storage {
+                    StorageKind::NvmeSsd => {
+                        self.send(
+                            wire,
+                            |cid| NvmeCommand::read(cid, 1, c.slba, c.blocks, buf),
+                            StatusCode::Success,
+                            0,
+                        );
+                        let (data, t_ssd) = self.mssd.dev.read_range(c.slba, c.blocks, at)?;
+                        let dma = self.fabric.dma(
+                            self.ssd_dev,
+                            DmaDir::Write,
+                            buf,
+                            c.valid_bytes,
+                            t_ssd,
+                        )?;
+                        let mb = self.membus.transfer(dma.start, c.valid_bytes);
+                        (data, dma.end.max(mb.end))
+                    }
+                    StorageKind::RamDrive => {
+                        let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                        (data, self.membus.transfer(at, c.valid_bytes).end)
+                    }
+                    StorageKind::Hdd => {
+                        let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                        let seek = SimDuration::from_secs_f64(self.params.hdd_seek_ms / 1e3);
+                        let stream = SimDuration::from_secs_f64(
+                            c.valid_bytes as f64 / (self.params.hdd_mbs * 1e6),
+                        );
+                        let iv = self.hdd.acquire(at, seek + stream);
+                        let mb = self.membus.transfer(iv.start, c.valid_bytes);
+                        (data, iv.end.max(mb.end))
+                    }
+                };
+                // Record/replay of the parse work (see `deser_memo`): the
+                // recorded deltas are pure functions of the memo key, so a
+                // replayed chunk is priced exactly like a live one.
+                let dw = match replay {
+                    Some(r) => r.per_chunk[ci],
+                    None => {
+                        let p = parser.as_mut().expect("a live tenant has a parser");
+                        p.feed(&data[..c.valid_bytes as usize])?;
+                        let w = p.work();
+                        let dw = w - *last_work;
+                        *last_work = w;
+                        if memo_key.is_some() {
+                            recorded.push(dw);
+                        }
+                        dw
+                    }
+                };
                 let os_cost = self.os.buffered_read(c.valid_bytes);
                 let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
                 let parse_t = self.cpu.duration(
@@ -514,22 +618,37 @@ impl System {
     ) -> Result<(Step, Arc<ParsedColumns>), RunError> {
         match t {
             TenantState::Conventional {
-                spec,
                 parser,
+                memo_key,
+                replay,
+                recorded,
                 cpu_ready,
                 ..
             } => {
-                let mut objects =
-                    std::mem::replace(parser, StreamingParser::new(spec.schema.clone()))
-                        .finish()?;
-                objects.canonicalize();
+                let objects = match replay.take() {
+                    Some(r) => r.objects.clone(),
+                    None => {
+                        let mut o = parser
+                            .take()
+                            .expect("a live tenant has a parser")
+                            .finish()?;
+                        o.canonicalize();
+                        let o = Arc::new(o);
+                        if let Some(key) = *memo_key {
+                            let per_chunk = std::mem::take(recorded);
+                            let objects = o.clone();
+                            deser_memo::host_put(key, Arc::new(HostReplay { per_chunk, objects }));
+                        }
+                        o
+                    }
+                };
                 let step = Step {
                     bytes: 0,
                     done: *cpu_ready,
                     landed: None,
                     wakeup: None,
                 };
-                Ok((step, Arc::new(objects)))
+                Ok((step, objects))
             }
             TenantState::Morpheus {
                 spec,
@@ -668,6 +787,34 @@ mod tests {
         // Results identical either way.
         for (a, b) in conv_rep.tenants.iter().zip(&morp_rep.tenants) {
             assert_eq!(a.checksum, b.checksum);
+        }
+    }
+
+    /// One vs N: a one-tenant conventional round-robin run is the solo
+    /// conventional run, on every storage device.
+    #[test]
+    fn one_conventional_tenant_is_the_solo_run_on_every_storage() {
+        for storage in [
+            StorageKind::NvmeSsd,
+            StorageKind::RamDrive,
+            StorageKind::Hdd,
+        ] {
+            let mut p = SystemParams::paper_testbed();
+            p.storage = storage;
+            let mut sys = System::new(p);
+            sys.create_input_file("t.txt", &edge_text(60_000, 3))
+                .unwrap();
+            let spec = AppSpec::cpu_app("t", "t.txt", edge_schema(), 1, 50.0);
+            let solo = sys.run(&spec, Mode::Conventional).unwrap().report;
+            let rep = sys
+                .run_deserialize_many(&[(spec, Mode::Conventional)])
+                .unwrap();
+            let t = &rep.tenants[0];
+            assert_eq!(t.checksum, solo.checksum, "{storage:?}");
+            assert_eq!(t.records, solo.records, "{storage:?}");
+            assert_eq!(t.deser_s, solo.phases.deserialization_s, "{storage:?}");
+            // Only the NVMe drive takes commands, and each one completes.
+            assert_eq!(sys.in_flight_cids.len(), 0, "{storage:?}");
         }
     }
 

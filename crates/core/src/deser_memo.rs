@@ -98,11 +98,11 @@ pub(crate) struct DeviceReplay {
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
 /// deltas (priced live against the run's own cost model) and the final
-/// canonicalized objects.
+/// canonicalized objects, shared by every replay.
 #[derive(Debug)]
 pub(crate) struct HostReplay {
     pub per_chunk: Vec<ParseWork>,
-    pub objects: ParsedColumns,
+    pub objects: Arc<ParsedColumns>,
 }
 
 /// Entry cap per table: a sweep touches tens of distinct inputs, and the
@@ -290,9 +290,9 @@ mod tests {
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![],
-                objects: ParsedColumns::empty(morpheus_format::Schema::new(vec![
+                objects: Arc::new(ParsedColumns::empty(morpheus_format::Schema::new(vec![
                     morpheus_format::FieldKind::U32,
-                ])),
+                ]))),
             }),
         );
         assert!(host_get(k).is_some());
@@ -300,9 +300,9 @@ mod tests {
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![ParseWork::default()],
-                objects: ParsedColumns::empty(morpheus_format::Schema::new(vec![
+                objects: Arc::new(ParsedColumns::empty(morpheus_format::Schema::new(vec![
                     morpheus_format::FieldKind::U32,
-                ])),
+                ]))),
             }),
         );
         assert_eq!(host_get(k).unwrap().per_chunk.len(), 1);

@@ -16,14 +16,11 @@
 
 use crate::concurrent::Wire;
 use crate::report::{Mode, Phases, RunReport};
-use crate::system::ChunkIo;
 use crate::{MorpheusError, StorageKind, System};
-use morpheus_format::{
-    BinaryStreamParser, Endianness, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
-};
+use morpheus_format::{Endianness, ParseError, ParsedColumns, Schema};
 use morpheus_gpu::KernelCost;
 use morpheus_host::CodeClass;
-use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
+use morpheus_nvme::{MorpheusCommand, StatusCode};
 use morpheus_pcie::{DmaDir, PcieError};
 use morpheus_simcore::{
     FaultCounters, Interval, Metrics, SimDuration, SimTime, TelemetryReport, TraceLayer, TraceLog,
@@ -137,44 +134,6 @@ impl AppSpec {
     pub fn with_input_format(mut self, format: InputFormat) -> Self {
         self.input_format = format;
         self
-    }
-}
-
-/// Host-side parser dispatch over the input encoding.
-enum HostParser {
-    Text(StreamingParser),
-    Binary(BinaryStreamParser),
-}
-
-impl HostParser {
-    fn new(schema: &Schema, format: InputFormat) -> HostParser {
-        match format {
-            InputFormat::Text => HostParser::Text(StreamingParser::new(schema.clone())),
-            InputFormat::Binary(e) => {
-                HostParser::Binary(BinaryStreamParser::new(schema.clone(), e))
-            }
-        }
-    }
-
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
-        match self {
-            HostParser::Text(p) => p.feed(chunk),
-            HostParser::Binary(p) => p.feed(chunk),
-        }
-    }
-
-    fn work(&self) -> ParseWork {
-        match self {
-            HostParser::Text(p) => p.work(),
-            HostParser::Binary(p) => p.work(),
-        }
-    }
-
-    fn finish(self) -> Result<ParsedColumns, ParseError> {
-        match self {
-            HostParser::Text(p) => p.finish(),
-            HostParser::Binary(p) => p.finish(),
-        }
     }
 }
 
@@ -372,107 +331,53 @@ impl System {
     }
 
     fn run_conventional(&mut self, spec: &AppSpec) -> Result<RunOutcome, RunError> {
-        let meta = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let (objects, window) = self.host_deser_window(spec, &meta, SimTime::ZERO)?;
+        let (objects, window) = self.host_deser_window(spec, SimTime::ZERO)?;
         self.finish_run(spec, Mode::Conventional, objects, window)
     }
 
-    /// The host-side `read()`+parse loop of Fig. 1, shared by the
-    /// conventional mode and the Morpheus fallback path: deserializes the
-    /// whole file starting no earlier than `start`, allocates the object
-    /// region, and returns the objects with the window summary.
+    /// The solo run's policy over the shared host `read()`+parse driver
+    /// (Fig. 1), for the conventional mode and the Morpheus fallback path
+    /// alike: deserializes the whole file starting no earlier than
+    /// `start`, allocates the object region, and returns the objects with
+    /// the window summary.
     fn host_deser_window(
         &mut self,
         spec: &AppSpec,
-        meta: &morpheus_host::FileMeta,
         start: SimTime,
     ) -> Result<(ParsedColumns, DeserWindow), RunError> {
-        let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
-        // Record/replay of the parse work (see `deser_memo`): storage I/O,
-        // OS costs, and CPU-core grants always run live against this run's
-        // timelines; only the parser itself is skipped when a recording
-        // for this exact content and chunking exists. The recorded values
-        // (per-chunk work deltas, canonical objects) are pure functions of
-        // the key, so replayed runs are byte-identical to live ones.
-        let memo_key = self.host_memo_key(spec, &chunks);
-        let replay = memo_key.and_then(crate::deser_memo::host_get);
-        if let Some(r) = &replay {
-            assert_eq!(
-                r.per_chunk.len(),
-                chunks.len(),
-                "deser-memo chunk-count mismatch (key collision?)"
-            );
-        }
-        let mut parser = match replay {
-            None => Some(HostParser::new(&spec.schema, spec.input_format)),
-            Some(_) => None,
-        };
-        let mut recorded: Vec<ParseWork> = Vec::new();
-        // Buffer X of Fig. 1(b): the raw-text landing buffer.
-        let buf_addr = self
-            .dram
-            .alloc(self.params.conventional_chunk_bytes)
-            .ok_or(RunError::OutOfHostMemory)?;
-        let mut last_work = ParseWork::default();
-        let mut cpu_ready = start;
+        let nvme = matches!(self.params.storage, StorageKind::NvmeSsd);
+        let mut t = self.conventional_tenant(spec, start)?;
         let mut cpu_busy = SimDuration::ZERO;
+        let mut text_bytes = 0;
         // QD-1 blocking reads: the next command is submitted when the
         // previous one's data has landed (traced as the NVMe lifecycle).
         let mut submit = start;
-        for (ci, c) in chunks.iter().enumerate() {
-            let cid = self.alloc_cid();
+        while !t.finished_chunks() {
             // The injected-timeout floor: `start` when the command went
             // out untouched, later when reissues pushed it back. On this
             // path there is nothing left to fall back to, so an exhausted
             // reissue budget is a clean run failure.
-            let floor = if matches!(self.params.storage, StorageKind::NvmeSsd) {
+            let floor = if nvme {
                 self.issue_with_timeouts(submit, start)
                     .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?
             } else {
                 start
             };
-            let (text, io_done) = self.conventional_io(c, cid, buf_addr, floor)?;
-            if matches!(self.params.storage, StorageKind::NvmeSsd) {
+            let s = self.step_tenant(&mut t, floor, &mut Wire::Now)?;
+            if nvme {
                 self.tracer.span_bytes(
                     TraceLayer::Nvme,
                     NVME_TRACK,
                     "READ",
                     submit,
-                    io_done,
-                    c.valid_bytes,
+                    s.done,
+                    s.bytes,
                 );
                 self.nvme_lat
-                    .record(io_done.duration_since(submit).as_nanos());
-                submit = io_done;
+                    .record(s.done.duration_since(submit).as_nanos());
+                submit = s.done;
             }
-            let dw = match &replay {
-                Some(r) => r.per_chunk[ci],
-                None => {
-                    let p = parser.as_mut().expect("live path has a parser");
-                    p.feed(&text[..c.valid_bytes as usize])?;
-                    let w = p.work();
-                    let dw = w - last_work;
-                    last_work = w;
-                    if memo_key.is_some() {
-                        recorded.push(dw);
-                    }
-                    dw
-                }
-            };
-            let os_cost = self.os.buffered_read(c.valid_bytes);
-            let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
-            let parse_t = self.cpu.duration(
-                self.params.host_cost.int_path_instructions(&dw)
-                    + self.params.host_cost.float_path_instructions(&dw),
-                CodeClass::Deserialize,
-            );
-            let iv = self
-                .cpu_cores
-                .acquire(io_done.max(cpu_ready), os_t + parse_t);
+            let iv = s.wakeup.expect("a host chunk always takes a core");
             self.tracer
                 .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
             self.tracer.span_bytes(
@@ -481,30 +386,13 @@ impl System {
                 "read+parse",
                 iv.start,
                 iv.end,
-                c.valid_bytes,
+                s.bytes,
             );
-            cpu_ready = iv.end;
             cpu_busy += iv.duration();
-            // The parse loop streams the text back out of DRAM.
-            self.membus.account(c.valid_bytes);
+            text_bytes += s.bytes;
         }
-        let objects = match replay {
-            Some(r) => r.objects.clone(),
-            None => {
-                let mut o = parser.take().expect("live path has a parser").finish()?;
-                o.canonicalize();
-                if let Some(key) = memo_key {
-                    crate::deser_memo::host_put(
-                        key,
-                        std::sync::Arc::new(crate::deser_memo::HostReplay {
-                            per_chunk: recorded,
-                            objects: o.clone(),
-                        }),
-                    );
-                }
-                o
-            }
-        };
+        let (s, objects) = self.finish_tenant(&mut t, start, &mut Wire::Now)?;
+        let objects = Arc::try_unwrap(objects).unwrap_or_else(|shared| (*shared).clone());
         let obj_bytes = objects.binary_bytes();
         // Location Y of Fig. 1(b): the object arrays.
         let obj_addr = self
@@ -513,50 +401,13 @@ impl System {
             .ok_or(RunError::OutOfHostMemory)?;
         self.membus.account(obj_bytes);
         let window = DeserWindow {
-            end: cpu_ready,
+            end: s.done,
             cpu_busy,
-            text_bytes: meta.len,
+            text_bytes,
             obj_addr,
             fell_back: false,
         };
         Ok((objects, window))
-    }
-
-    /// One conventional-path input chunk on the configured storage device,
-    /// served no earlier than `ready`.
-    fn conventional_io(
-        &mut self,
-        c: &ChunkIo,
-        cid: u16,
-        buf_addr: u64,
-        ready: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), RunError> {
-        match self.params.storage {
-            StorageKind::NvmeSsd => {
-                let cmd = NvmeCommand::read(cid, 1, c.slba, c.blocks, buf_addr);
-                self.round_trip(cmd, StatusCode::Success, 0);
-                let (data, t) = self.mssd.dev.read_range(c.slba, c.blocks, ready)?;
-                let dma =
-                    self.fabric
-                        .dma(self.ssd_dev, DmaDir::Write, buf_addr, c.valid_bytes, t)?;
-                let mb = self.membus.transfer(dma.start, c.valid_bytes);
-                Ok((data, dma.end.max(mb.end)))
-            }
-            StorageKind::RamDrive => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
-                let mb = self.membus.transfer(ready, c.valid_bytes);
-                Ok((data, mb.end))
-            }
-            StorageKind::Hdd => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
-                let seek = SimDuration::from_secs_f64(self.params.hdd_seek_ms / 1e3);
-                let stream =
-                    SimDuration::from_secs_f64(c.valid_bytes as f64 / (self.params.hdd_mbs * 1e6));
-                let iv = self.hdd.acquire(ready, seek + stream);
-                let mb = self.membus.transfer(iv.start, c.valid_bytes);
-                Ok((data, iv.end.max(mb.end)))
-            }
-        }
     }
 
     /// Rolls the NVMe command-loss dice for one submission at `submit`.
@@ -706,12 +557,7 @@ impl System {
             Ok(v) => v,
             Err(abort) => {
                 let at = self.reap_aborted(abort, OS_TRACK, &mut Wire::Now)?;
-                let meta = self
-                    .fs
-                    .open(&spec.input)
-                    .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-                    .clone();
-                let (objects, mut window) = self.host_deser_window(spec, &meta, at)?;
+                let (objects, mut window) = self.host_deser_window(spec, at)?;
                 window.fell_back = true;
                 (objects, window)
             }

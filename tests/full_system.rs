@@ -279,4 +279,39 @@ fn binary_input_runs_match_text_runs() {
         assert_eq!(from_bin.objects, objects);
         assert_eq!(from_text.report.checksum, from_bin.report.checksum);
     }
+
+    // Every caller of the host read+parse driver parses the binary input
+    // too, and returns the solo checksum.
+    let solo = sys.run(&bin_spec, Mode::Conventional).unwrap().report;
+    let many = sys
+        .run_deserialize_many(&[(bin_spec.clone(), Mode::Conventional)])
+        .unwrap();
+    assert_eq!(many.tenants[0].checksum, solo.checksum);
+    assert_eq!(many.tenants[0].records, solo.records);
+
+    let mut cfg = morpheus::ServeConfig::new(2000.0, 0.02);
+    cfg.mode = Mode::Conventional;
+    let served = sys.serve(std::slice::from_ref(&bin_spec), &cfg).unwrap();
+    assert!(served.completed > 0);
+    assert_eq!(served.failed, 0);
+    assert_eq!(served.records, solo.records * served.completed);
+    assert_eq!(
+        served.checksum_unordered,
+        solo.checksum.wrapping_mul(served.completed)
+    );
+
+    // A crashed embedded core re-dispatches each served request to the
+    // host path, which must finish the binary parse rather than abort
+    // the whole serve run.
+    sys.set_fault_plan(morpheus_simcore::FaultPlan::parse("seed=7,crash=1").unwrap());
+    cfg.mode = Mode::Morpheus;
+    let degraded = sys.serve(std::slice::from_ref(&bin_spec), &cfg).unwrap();
+    sys.set_fault_plan(morpheus_simcore::FaultPlan::none());
+    assert!(degraded.completed > 0);
+    assert_eq!(degraded.fault_redispatches, degraded.completed);
+    assert_eq!(degraded.records, solo.records * degraded.completed);
+    assert_eq!(
+        degraded.checksum_unordered,
+        solo.checksum.wrapping_mul(degraded.completed)
+    );
 }
